@@ -9,6 +9,7 @@ latter)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
@@ -287,7 +288,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="errold",
         description="Detection systems on graphs: verification, existence, "
@@ -405,3 +408,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

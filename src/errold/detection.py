@@ -174,25 +174,41 @@ class ExistenceResult:
 def exists_err_old(g: Graph) -> ExistenceResult:
     """A graph permits an ERR:OLD set iff its minimum degree is at least 3
     and, for every 4-cycle, both opposite pairs have neighbourhood symmetric
-    difference at least 3.  Both diagonals are checked since the cycle
-    labelling is arbitrary."""
+    difference at least 3.
+
+    The opposite pairs of 4-cycles are exactly the pairs with at least two
+    common neighbours, so only those pairs are tested.  The failure witness
+    is the least canonical 4-cycle (as in Graph.four_cycles) through a
+    failing opposite pair, reported with its pair (a, c) if that fails, else
+    (b, d)."""
     for v in range(g.n):
         if g.degree(v) < 3:
             return ExistenceResult(False, low_degree_vertex=v)
-    for a, b, c, d in g.four_cycles():
-        for u, v in ((a, c), (b, d)):
-            val = (g.adj[u] ^ g.adj[v]).bit_count()
-            if val < 3:
-                return ExistenceResult(False, cycle=(a, b, c, d), pair=(u, v), value=val)
-    return ExistenceResult(True)
+    adj = g.adj
+    cycle = None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            common = adj[u] & adj[v]
+            if common & (common - 1) and (adj[u] ^ adj[v]).bit_count() < 3:
+                # the least cycle with opposite pair {u, v} uses the two
+                # least common neighbours x < y
+                x, y = bits_to_list(common)[:2]
+                c = (x, u, y, v) if x < u else (u, x, v, y)
+                if cycle is None or c < cycle:
+                    cycle = c
+    if cycle is None:
+        return ExistenceResult(True)
+    a, b, c, d = cycle
+    u, v = (a, c) if (adj[a] ^ adj[c]).bit_count() < 3 else (b, d)
+    return ExistenceResult(False, cycle=cycle, pair=(u, v),
+                           value=(adj[u] ^ adj[v]).bit_count())
 
 
 def forced_detectors(g: Graph) -> set[int]:
     """Vertices that belong to every ERR:OLD set: any vertex with a neighbour
     of degree exactly 3 (that neighbour needs all of its 3 neighbours as
     dominators)."""
-    deg3 = mask_of(v for v in range(g.n) if g.degree(v) == 3)
-    return {v for v in range(g.n) if g.adj[v] & deg3}
+    return forced_detectors_for_kind(g, ERR_OLD)
 
 
 def forced_detectors_for_kind(g: Graph, kind: DetectionKind) -> set[int]:

@@ -1,6 +1,7 @@
 """Executable transformation from 3-SAT to the error-correcting detector-set
-decision problem, with gadget validation and a brute-force SAT oracle for
-round-trip equivalence checking.
+decision problem, with gadget validation and a round-trip equivalence check:
+a brute-force SAT oracle against the budgeted decision "is there an ERR:OLD
+set of size <= K?", which the solver's branch-and-bound core answers.
 
 Construction overview
 ---------------------
@@ -34,11 +35,11 @@ satisfies every clause."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, ParseError
 from .detection import ERR_OLD, verify, forced_detectors
+from .solver import detector_set_within
 
 # Recovered by exhaustive search: one of the two minimum graphs supporting an
 # error-correcting detector set (7 vertices, 12 edges).  Vertices 0..3 have
@@ -363,50 +364,20 @@ def decode_assignment(inst: ReductionInstance, detector_set) -> dict[int, bool]:
 
 def find_detector_set_within_budget(inst: ReductionInstance,
                                     jobs: int = 1) -> set[int] | None:
-    """Exhaustive restricted search: the forced vertices are fixed in, and
-    all subsets of the 4N + M free vertices that respect |S| <= K are tried
-    in size-then-lexicographic order.  Returns the first valid set, else
-    None."""
-    free = inst.free
-    if len(free) > MAX_FREE_VERTICES:
+    """Budgeted decision on the compiled instance: the first ERR:OLD set of
+    size <= K that the solver's branch-and-bound core finds, or None.
+
+    The core forces the neighbourhoods of degree-3 vertices, computed from
+    the graph itself (on an untampered instance these are exactly the
+    designated 21N + 7M vertices), starts with the size bound K + 1 and
+    stops at its first hit.  Any hit has size exactly K: each variable's
+    tension vertices need one of its literals."""
+    free = len(inst.free)
+    if free > MAX_FREE_VERTICES:
         raise ResourceLimit(
-            f"restricted search supports up to {MAX_FREE_VERTICES} free vertices,"
-            f" instance has {len(free)}")
-    forced = set(inst.forced)
-    slack = inst.k - len(forced)
-    g = inst.graph
-    g.pairs_within_distance_two()     # warm the shared cache once
-    if jobs > 1:
-        return _restricted_search_parallel(inst, slack, jobs)
-    for size in range(slack + 1):
-        for combo in itertools.combinations(free, size):
-            s = forced | set(combo)
-            if verify(g, s, ERR_OLD).ok:
-                return s
-    return None
-
-
-def _restricted_chunk(args):
-    inst, size, offset, stride = args
-    forced = set(inst.forced)
-    g = inst.graph
-    for idx, combo in enumerate(itertools.combinations(inst.free, size)):
-        if idx % stride != offset:
-            continue
-        if verify(g, forced | set(combo), ERR_OLD).ok:
-            return idx, set(forced | set(combo))
-    return None
-
-
-def _restricted_search_parallel(inst: ReductionInstance, slack: int, jobs: int):
-    import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for size in range(slack + 1):
-            tasks = [(inst, size, off, jobs) for off in range(jobs)]
-            hits = [h for h in pool.map(_restricted_chunk, tasks) if h is not None]
-            if hits:
-                return min(hits, key=lambda h: h[0])[1]
-    return None
+            f"round-trip search supports up to {MAX_FREE_VERTICES} free vertices,"
+            f" instance has {free}")
+    return detector_set_within(inst.graph, ERR_OLD, inst.k, jobs=jobs)
 
 
 def roundtrip_check(formula: CnfFormula, jobs: int = 1) -> bool:

@@ -5,7 +5,9 @@ size-then-lexicographic order (the oracle), and a branch-and-bound search
 that fixes degree-forced detectors up front, branches on the remaining
 vertices in descending-degree order, and prunes partial assignments that can
 no longer dominate every vertex or distinguish every close pair even if all
-undecided vertices become detectors.
+undecided vertices become detectors.  One iterative branch-and-bound core
+answers both the minimisation and the decision "is there a set of size
+<= k?", serially or split over worker processes.
 
 Soundness of the pruning rests on monotonicity: dominator sets and their
 differences only grow when detectors are added, so a requirement that fails
@@ -37,6 +39,10 @@ class SearchBudgetExceeded(Exception):
             + (f"; best detector set so far has size {best_size}"
                if best_size is not None else "; no detector set found yet"))
 
+    def __reduce__(self):
+        # lets a worker's budget error reach the parent process
+        return (type(self), (self.nodes_explored, self.best_size, self.best_set))
+
 
 @dataclass
 class SolveResult:
@@ -62,9 +68,11 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     if strategy == "exhaustive":
         return _solve_exhaustive(g, kind, budget)
     if strategy == "branch-and-bound":
-        if jobs > 1:
-            return _solve_bb_parallel(g, kind, budget, jobs)
-        return _solve_bb(g, kind, budget)
+        best, nodes = _search(g, kind, budget=budget, jobs=jobs)
+        if best is None:
+            return SolveResult("infeasible", nodes_explored=nodes)
+        return SolveResult("optimal", best.bit_count(),
+                           set(bits_to_list(best)), nodes)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -73,8 +81,19 @@ def decision(g: Graph, kind: DetectionKind, k: int,
     """True iff some detector set of size <= k passes verification."""
     if k < 0:
         raise ValueError("threshold must be non-negative")
+    if strategy == "branch-and-bound":
+        return detector_set_within(g, kind, k) is not None
     res = minimum_detector_set(g, kind, strategy=strategy)
     return res.status == "optimal" and res.optimum <= k
+
+
+def detector_set_within(g: Graph, kind: DetectionKind, k: int,
+                        jobs: int = 1) -> set[int] | None:
+    """The first detector set of size <= k in branch order, or None.
+
+    The search stops at its first hit, so the set need not be minimum."""
+    best, _ = _search(g, kind, limit=k + 1, first_hit=True, jobs=jobs)
+    return None if best is None else set(bits_to_list(best))
 
 
 def _feasible(g: Graph, kind: DetectionKind) -> bool:
@@ -140,113 +159,88 @@ def _domination_lower_bound(g: Graph, kind: DetectionKind,
     return chosen.bit_count() + need
 
 
-def _solve_bb(g: Graph, kind: DetectionKind, budget: int | None) -> SolveResult:
-    forced = mask_of(forced_detectors_for_kind(g, kind))
-    order = [v for v in _branch_order(g) if not (forced >> v & 1)]
-    best_size: int | None = None
-    best_set: int | None = None
-    nodes = 0
+def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
+            first_hit: bool = False, budget: int | None = None,
+            jobs: int = 1) -> tuple[int | None, int]:
+    """Fix the forced detectors and run the core from the root or, with
+    jobs > 1, on every subtree below the first few branch vertices in
+    worker processes, with the budget applying to each subtree.
 
-    def rec(idx: int, chosen: int, undecided: int):
-        nonlocal best_size, best_set, nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchBudgetExceeded(
-                nodes - 1, best_size,
-                set(bits_to_list(best_set)) if best_set is not None else None)
-        size = chosen.bit_count()
-        if best_size is not None and size >= best_size:
-            return
-        if _prunable(g, kind, chosen, undecided):
-            return
-        if best_size is not None and \
-                _domination_lower_bound(g, kind, chosen, undecided) >= best_size:
-            return
-        if idx == len(order):
-            if verify(g, chosen, kind).ok:
-                best_size, best_set = size, chosen
-            return
-        v = order[idx]
-        bit = 1 << v
-        rec(idx + 1, chosen | bit, undecided & ~bit)
-        rec(idx + 1, chosen, undecided & ~bit)
-
-    rec(0, forced, g.full_mask() & ~forced)
-    if best_size is None:
-        return SolveResult("infeasible", nodes_explored=nodes)
-    return SolveResult("optimal", best_size, set(bits_to_list(best_set)), nodes)
-
-
-def _solve_bb_parallel(g: Graph, kind: DetectionKind, budget: int | None,
-                       jobs: int) -> SolveResult:
-    """Split the root of the search tree over the first few branch vertices.
-
-    Every subtree is solved independently; combining by (size, subtree order)
-    reproduces the serial result because the serial search only replaces a
-    best solution on strict improvement."""
-    import concurrent.futures
-
+    The serial search replaces its best only on strict improvement, and
+    until its first hit what it prunes below a node depends on that node
+    alone.  So a minimisation reproduces the serial answer by taking the
+    smallest hit, earliest subtree first, and a decision by taking the first
+    subtree, in serial order, that has a hit."""
     forced = mask_of(forced_detectors_for_kind(g, kind))
     order = [v for v in _branch_order(g) if not (forced >> v & 1)]
     depth = 0
-    while 2 ** depth < jobs * 2 and depth < len(order):
+    while jobs > 1 and 2 ** depth < jobs * 2 and depth < len(order):
         depth += 1
-    prefixes = list(itertools.product((1, 0), repeat=depth))
     tasks = []
-    for prefix in prefixes:
-        chosen = forced
-        removed = 0
+    for prefix in itertools.product((1, 0), repeat=depth):
+        chosen, undecided = forced, g.full_mask() & ~forced
         for v, take in zip(order, prefix):
+            undecided &= ~(1 << v)
             if take:
                 chosen |= 1 << v
-            removed |= 1 << v
-        tasks.append((chosen, removed))
-    results = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_bb_subtree, g, kind, budget, chosen, removed, depth)
-                   for chosen, removed in tasks]
-        for fut in futures:
-            results.append(fut.result())
-    total_nodes = sum(r.nodes_explored for r in results)
-    best = None
-    for r in results:  # subtree order matches the serial branch order
-        if r.status == "optimal" and (best is None or r.optimum < best.optimum):
-            best = r
-    if best is None:
-        return SolveResult("infeasible", nodes_explored=total_nodes)
-    return SolveResult("optimal", best.optimum, best.witness, total_nodes)
+        tasks.append((g, kind, chosen, undecided, order[depth:], limit,
+                      first_hit, budget))
+    if jobs > 1:
+        import concurrent.futures
+        import multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(_branch_and_bound, *task) for task in tasks]
+            results = [fut.result() for fut in futures]
+    else:
+        results = [_branch_and_bound(*tasks[0])]
+    nodes = sum(n for _, n in results)
+    hits = [best for best, _ in results if best is not None]
+    if not hits:
+        return None, nodes
+    return (hits[0] if first_hit else min(hits, key=int.bit_count)), nodes
 
 
-def _bb_subtree(g: Graph, kind: DetectionKind, budget: int | None,
-                chosen: int, removed: int, depth: int) -> SolveResult:
-    forced = mask_of(forced_detectors_for_kind(g, kind))
-    order = [v for v in _branch_order(g) if not (forced >> v & 1)][depth:]
-    best_size: int | None = None
-    best_set: int | None = None
+def _branch_and_bound(g: Graph, kind: DetectionKind, chosen: int,
+                      undecided: int, order: list[int],
+                      limit: int | None = None, first_hit: bool = False,
+                      budget: int | None = None) -> tuple[int | None, int]:
+    """Depth-first search from the state (chosen, undecided), branching on
+    the vertices of `order` in turn, take before skip.
+
+    Only sets smaller than `limit` (if given) are hits, and after a hit only
+    strictly smaller sets are; with `first_hit` the search stops at its
+    first hit.  Returns (best set as a mask or None, nodes explored).  An
+    explicit stack keeps the depth free of the recursion limit; pushing the
+    skip branch below the take branch visits nodes in the same preorder as
+    a recursive search."""
+    bound = limit
+    best: int | None = None
     nodes = 0
-
-    def rec(idx: int, cur: int, undecided: int):
-        nonlocal best_size, best_set, nodes
+    stack = [(0, chosen, undecided)]
+    while stack:
+        idx, chosen, undecided = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
             raise SearchBudgetExceeded(
-                nodes - 1, best_size,
-                set(bits_to_list(best_set)) if best_set is not None else None)
-        size = cur.bit_count()
-        if best_size is not None and size >= best_size:
-            return
-        if _prunable(g, kind, cur, undecided):
-            return
+                nodes - 1, None if best is None else best.bit_count(),
+                None if best is None else set(bits_to_list(best)))
+        size = chosen.bit_count()
+        if bound is not None and size >= bound:
+            continue
+        if _prunable(g, kind, chosen, undecided):
+            continue
+        if bound is not None and \
+                _domination_lower_bound(g, kind, chosen, undecided) >= bound:
+            continue
         if idx == len(order):
-            if verify(g, cur, kind).ok:
-                best_size, best_set = size, cur
-            return
-        v = order[idx]
-        bit = 1 << v
-        rec(idx + 1, cur | bit, undecided & ~bit)
-        rec(idx + 1, cur, undecided & ~bit)
-
-    rec(0, chosen, g.full_mask() & ~chosen & ~removed)
-    if best_size is None:
-        return SolveResult("infeasible", nodes_explored=nodes)
-    return SolveResult("optimal", best_size, set(bits_to_list(best_set)), nodes)
+            if verify(g, chosen, kind).ok:
+                best, bound = chosen, size
+                if first_hit:
+                    break
+            continue
+        bit = 1 << order[idx]
+        stack.append((idx + 1, chosen, undecided & ~bit))
+        stack.append((idx + 1, chosen | bit, undecided & ~bit))
+    return best, nodes

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import errold
 from errold.cli import main
 from errold.graph import parse_edge_list, serialize_edge_list
-from errold.families import petersen_graph, complete_graph
+from errold.families import (petersen_graph, complete_graph, heawood_graph,
+                             circulant_graph)
 from errold.detection import serialize_detector_set
 
 PATTERN_DIR = Path(__file__).resolve().parent.parent / "patterns"
@@ -70,6 +75,51 @@ def test_unknown_flag_exits_two(files):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--graph", str(files["petersen"]), "--bogus", "x"])
     assert exc.value.code == 2
+
+
+def test_parser_survives_a_rejected_command_line(capsys, files):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--graph", str(files["petersen"]), "--kind", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "solve", "--graph", files["petersen"], "--kind", "err")
+    rep = report_dict(out)
+    assert code == 0 and rep["command"] == "solve" and rep["optimum"] == "10"
+    assert rep["kind"] == "ERR:OLD" and "budget" not in out
+
+
+def test_budget_exhaustion_under_jobs(capsys, tmp_path):
+    hw = tmp_path / "heawood.el"
+    hw.write_text(serialize_edge_list(heawood_graph()))
+    code, out = run(capsys, "solve", "--graph", hw, "--kind", "old",
+                    "--budget", "10", "--jobs", "2")
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error"
+    assert "budget" in rep["error"] and rep["nodes-explored"] == "10"
+
+
+def test_search_deeper_than_recursion_limit(capsys, tmp_path):
+    # C_n(1,2) is 4-regular, so OLD forces nothing and the take-first path
+    # runs through all n branch vertices; the budget stops it just past
+    # the depth where a recursive search would overflow
+    depth = sys.getrecursionlimit() + 50
+    path = tmp_path / "circulant.el"
+    path.write_text(serialize_edge_list(circulant_graph(depth + 50, (1, 2))))
+    code, out = run(capsys, "solve", "--graph", path, "--kind", "old",
+                    "--budget", depth)
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["nodes-explored"] == str(depth) and "budget" in rep["error"]
+
+
+@pytest.mark.parametrize("module", ["errold", "errold.cli"])
+def test_python_dash_m_entry_point(module):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(errold.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and "usage: errold" in proc.stdout
 
 
 def test_solve_and_decide(capsys, files):

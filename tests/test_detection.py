@@ -4,7 +4,7 @@ import pytest
 
 from errold.graph import Graph, ParseError
 from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
-                              dominators, domination_profile, distinguishing_value,
+                              ExistenceResult, dominators, domination_profile, distinguishing_value,
                               verify, verify_red_old_by_removal, is_open_dominating,
                               exists_err_old, forced_detectors,
                               forced_detectors_for_kind, kind_from_flag,
@@ -177,6 +177,37 @@ def test_exists_checks_both_diagonals():
         g = random_graph(rng.randint(4, 9), rng.uniform(0.3, 0.9), rng)
         expected = verify(g, range(g.n), ERR_OLD).ok
         assert exists_err_old(g).exists == expected
+
+
+def exists_by_four_cycles(g):
+    """Oracle: the existence test over the explicit list of 4-cycles."""
+    for v in range(g.n):
+        if g.degree(v) < 3:
+            return ExistenceResult(False, low_degree_vertex=v)
+    for a, b, c, d in g.four_cycles():
+        for u, v in ((a, c), (b, d)):
+            val = (g.adj[u] ^ g.adj[v]).bit_count()
+            if val < 3:
+                return ExistenceResult(False, cycle=(a, b, c, d), pair=(u, v), value=val)
+    return ExistenceResult(True)
+
+
+def test_exists_matches_four_cycle_oracle():
+    # the full result, witness included, on every graph with up to 6
+    # vertices and on random graphs up to 14 vertices
+    for n in range(7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            assert exists_err_old(g) == exists_by_four_cycles(g)
+    rng = random.Random(8)
+    failing_cycles = 0
+    for _ in range(2000):
+        g = random_graph(rng.randint(7, 14), rng.uniform(0.3, 0.95), rng)
+        expected = exists_by_four_cycles(g)
+        assert exists_err_old(g) == expected
+        failing_cycles += expected.cycle is not None
+    assert failing_cycles > 200
 
 
 def test_twins_forbid_existence():

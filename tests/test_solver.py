@@ -6,7 +6,8 @@ import pytest
 from errold.graph import Graph
 from errold.detection import (OLD, ERR_OLD, ALL_KINDS, verify,
                               forced_detectors)
-from errold.solver import minimum_detector_set, decision, SearchBudgetExceeded
+from errold.solver import (minimum_detector_set, decision, detector_set_within,
+                           SearchBudgetExceeded)
 from errold.families import (complete_graph, petersen_graph,
                              heawood_graph, random_graph)
 
@@ -105,7 +106,7 @@ def test_forcing_consistency():
             assert forced_detectors(g) <= res.witness
 
 
-def test_monotonicity_across_kinds():
+def err_old_family():
     # a graph passing the error-correcting existence test is feasible for
     # every kind, so those graphs exercise the full chain
     from errold.detection import exists_err_old
@@ -116,7 +117,11 @@ def test_monotonicity_across_kinds():
         g = random_graph(rng.randint(12, 14), 0.5, rng)
         if exists_err_old(g).exists:
             family.append(g)
-    for g in family:
+    return family
+
+
+def test_monotonicity_across_kinds():
+    for g in err_old_family():
         results = {kind.name: minimum_detector_set(g, kind) for kind in ALL_KINDS}
         assert all(r.status == "optimal" for r in results.values())
         assert results["OLD"].optimum <= results["RED:OLD"].optimum
@@ -141,3 +146,22 @@ def test_parallel_matches_serial():
             assert (serial.status, serial.optimum) == (parallel.status, parallel.optimum)
             if serial.status == "optimal":
                 assert serial.witness == parallel.witness
+
+
+def test_decision_agrees_with_minimisation():
+    family = err_old_family() + [complete_graph(4), random_graph(9, 0.4, random.Random(18))]
+    for g in family:
+        for kind in ALL_KINDS:
+            res = minimum_detector_set(g, kind)
+            for k in range(g.n + 1):
+                expect = res.status == "optimal" and res.optimum <= k
+                assert decision(g, kind, k) == expect, (g, kind, k)
+
+
+def test_parallel_decision_matches_serial():
+    g = err_old_family()[-1]
+    for kind in (OLD, ERR_OLD):
+        res = minimum_detector_set(g, kind)
+        for k in (res.optimum - 1, res.optimum, res.optimum + 2):
+            assert detector_set_within(g, kind, k, jobs=2) == \
+                detector_set_within(g, kind, k)
