@@ -13,12 +13,11 @@ import functools
 import hashlib
 import sys
 
-from .graph import Graph, GraphError, ParseError, parse_edge_list, serialize_edge_list
+from .graph import Graph, ResourceLimit, load_edge_list, serialize_edge_list
 from .detection import (kind_from_flag, verify, exists_err_old,
                         parse_detector_set)
 from .solver import minimum_detector_set, SearchBudgetExceeded
-from .extremal import (enumerate_graphs, quasi_cubic_expand, supports_err_old,
-                       ResourceLimit as ExtremalLimit)
+from .extremal import enumerate_graphs, quasi_cubic_expand, supports_err_old
 from . import reduction
 from . import grids
 
@@ -49,8 +48,7 @@ class Report:
 
 def _load_graph(report: Report, path: str) -> Graph:
     report.digest("graph", path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return load_edge_list(path)
 
 
 def _load_cnf(report: Report, path: str) -> reduction.CnfFormula:
@@ -61,8 +59,7 @@ def _load_cnf(report: Report, path: str) -> reduction.CnfFormula:
 
 def _load_pattern(report: Report, path: str) -> grids.PeriodicPattern:
     report.digest("pattern", path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return grids.parse_pattern(fh.read())
+    return grids.load_pattern(path)
 
 
 def cmd_verify(args) -> int:
@@ -72,7 +69,7 @@ def cmd_verify(args) -> int:
     with open(args.set, "r", encoding="utf-8") as fh:
         detectors = parse_detector_set(fh.read(), g)
     kind = kind_from_flag(args.kind)
-    verdict = verify(g, detectors, kind, strategy=args.strategy)
+    verdict = verify(g, detectors, kind)
     report.add("kind", kind)
     report.add("pass", str(verdict.ok).lower())
     if not verdict.ok:
@@ -107,8 +104,7 @@ def cmd_solve(args) -> int:
     report = Report("solve")
     g = _load_graph(report, args.graph)
     kind = kind_from_flag(args.kind)
-    res = minimum_detector_set(g, kind, strategy=args.strategy,
-                               budget=args.budget, jobs=args.jobs)
+    res = minimum_detector_set(g, kind, budget=args.budget, jobs=args.jobs)
     report.add("kind", kind)
     report.add("result", res.status)
     if res.status == "optimal":
@@ -218,16 +214,13 @@ def cmd_gadget_check(args) -> int:
 def cmd_roundtrip(args) -> int:
     report = Report("roundtrip")
     formula = _load_cnf(report, args.cnf)
-    sat, _ = reduction.sat_brute_force(formula)
-    inst = reduction.build_instance(formula)
-    found = reduction.find_detector_set_within_budget(inst, jobs=args.jobs)
-    equivalent = sat == (found is not None)
-    report.add("satisfiable", str(sat).lower())
-    report.add("detector-set-within-budget", str(found is not None).lower())
-    report.add("K", inst.k)
-    report.add("equivalent", str(equivalent).lower())
-    report.emit("ok" if equivalent else "fail")
-    return 0 if equivalent else 1
+    check = reduction.roundtrip_check(formula, jobs=args.jobs)
+    report.add("satisfiable", str(check.satisfiable).lower())
+    report.add("detector-set-within-budget", str(check.found).lower())
+    report.add("K", check.k)
+    report.add("equivalent", str(bool(check)).lower())
+    report.emit("ok" if check else "fail")
+    return 0 if check else 1
 
 
 def cmd_grid_certify(args) -> int:
@@ -288,6 +281,12 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then reused."""
@@ -303,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="edge-list file")
 
     def jobs_flag(p):
-        p.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes, capped at the CPU count (default 1)")
 
     p = sub.add_parser("verify", help="check a detector set")
     graph_flag(p)
     p.add_argument("--set", required=True, help="detector-set file")
     p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
-    p.add_argument("--strategy", choices=["pruned", "naive"], default="pruned")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exists", help="ERR:OLD existence test")
@@ -319,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="minimum detector set")
     graph_flag(p)
     p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
-    p.add_argument("--strategy", choices=["branch-and-bound", "exhaustive"],
-                   default="branch-and-bound")
     p.add_argument("--budget", type=int, default=None, help="node limit")
     jobs_flag(p)
     p.set_defaults(func=cmd_solve)
@@ -389,8 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, GraphError, ValueError,
-            ExtremalLimit, reduction.ResourceLimit, grids.PatternError) as exc:
+    except (OSError, ValueError, ResourceLimit) as exc:
         print(f"command: {args.cmd}")
         print(f"error: {exc}")
         print("status: error")

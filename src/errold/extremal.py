@@ -14,14 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, ResourceLimit
 from .detection import exists_err_old
+from .parallel import run_tasks, split_depth
 
 MAX_CANONICAL_N = 10
-
-
-class ResourceLimit(Exception):
-    """Request exceeds the supported exhaustive-search range."""
 
 
 def _pair_list(n: int) -> list[tuple[int, int]]:
@@ -221,23 +218,18 @@ def enumerate_graphs(n: int, edge_count: int | None = None,
     if n > MAX_CANONICAL_N:
         raise ResourceLimit(f"enumeration supported for n <= {MAX_CANONICAL_N}, got {n}")
     ms = range(n * (n - 1) // 2 + 1) if edge_count is None else [edge_count]
+    tasks = [(n, m, predicate, min_degree, prefix)
+             for m in ms
+             for prefix in itertools.product((1, 0), repeat=split_depth(jobs, 4))]
     found: dict[tuple[int, ...], CanonicalGraph] = {}
-    if jobs > 1:
-        for enc, cg in _enumerate_parallel(n, ms, predicate, min_degree, jobs):
+    for chunk in run_tasks(_enum_chunk, tasks, jobs):
+        for enc, cg in chunk.items():
             found.setdefault(enc, cg)
-    else:
-        for m in ms:
-            for edges in labeled_graphs(n, m, min_degree):
-                g = Graph(n, edges)
-                if predicate is not None and not predicate(g):
-                    continue
-                enc = canonical_encoding(g)
-                if enc not in found:
-                    found[enc] = CanonicalGraph(graph_from_encoding(n, enc), enc)
     return [found[k] for k in sorted(found)]
 
 
-def _enum_chunk(args):
+def _enum_chunk(args) -> dict[tuple[int, ...], CanonicalGraph]:
+    """The classes among the labeled graphs below one edge-slot prefix."""
     n, m, predicate, min_degree, prefix = args
     out = {}
     for edges in labeled_graphs(n, m, min_degree, prefix=prefix):
@@ -248,19 +240,6 @@ def _enum_chunk(args):
         if enc not in out:
             out[enc] = CanonicalGraph(graph_from_encoding(n, enc), enc)
     return out
-
-
-def _enumerate_parallel(n, ms, predicate, min_degree, jobs):
-    import concurrent.futures
-    depth = 0
-    while 2 ** depth < 4 * jobs and depth < 8:
-        depth += 1
-    tasks = [(n, m, predicate, min_degree, prefix)
-             for m in ms
-             for prefix in itertools.product((1, 0), repeat=depth)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_enum_chunk, tasks):
-            yield from chunk.items()
 
 
 def smallest_supporting_edge_count(n: int, jobs: int = 1) -> tuple[int, list[CanonicalGraph]]:

@@ -3,8 +3,9 @@
 used throughout the toolkit.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after construction;
-derived data (adjacency masks, distance-2 pairs) is computed lazily and
-cached, so a single graph can be shared freely between workers.
+the adjacency masks are built eagerly on construction and the distance-2
+pairs lazily on first use, then cached, so a single graph can be shared
+freely between workers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ class GraphError(ValueError):
 
 class ParseError(ValueError):
     """Malformed input text; message carries the offending line number."""
+
+
+class ResourceLimit(Exception):
+    """Request exceeds a supported size, or a worker process died."""
 
 
 Edge = tuple[int, int]

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 
+from .graph import Graph, ParseError
+from .parallel import run_tasks
+
 SQR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 TRI_OFFSETS = SQR_OFFSETS + ((1, 1), (-1, -1))
 KNG_OFFSETS = SQR_OFFSETS + ((1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -227,21 +230,11 @@ def search_patterns(kind: GridKind, max_index: int,
     residue, and that translate is lexicographically no larger."""
     if max_index > MAX_SEARCH_INDEX:
         raise PatternError(f"exhaustive search supports index <= {MAX_SEARCH_INDEX}")
-    best: PeriodicPattern | None = None
-    best_density: Fraction | None = None
     tasks = [(kind, basis) for index in range(1, max_index + 1)
              for basis in hermite_bases(index)]
-    if jobs > 1:
-        results = _search_parallel(tasks, jobs)
-    else:
-        results = (_search_basis((kind, basis)) for kind, basis in tasks)
-    for found in results:
-        if found is None:
-            continue
-        density = pattern_density(found)
-        if best_density is None or density < best_density:
-            best, best_density = found, density
-    return best
+    # min keeps the first of equally dense patterns, in task order
+    found = [p for p in run_tasks(_search_basis, tasks, jobs) if p is not None]
+    return min(found, key=pattern_density, default=None)
 
 
 def _search_basis(args) -> PeriodicPattern | None:
@@ -275,12 +268,6 @@ def _search_basis(args) -> PeriodicPattern | None:
     return None
 
 
-def _search_parallel(tasks, jobs):
-    import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_search_basis, tasks)
-
-
 # -- torus cross-check ------------------------------------------------------------
 
 
@@ -289,8 +276,6 @@ def torus_graph(p: PeriodicPattern, repetitions: int = 20):
     lattice, with the detector set mapped along.  Local structure within
     radius 2 matches the plane for repetitions >= 5, so the finite verifier
     restricted to distance <= 2 pairs agrees with certification."""
-    from .graph import Graph
-
     (a1, a2), (b1, b2) = p.basis
     big = PeriodicPattern(p.kind, ((a1 * repetitions, a2 * repetitions),
                                    (b1 * repetitions, b2 * repetitions)),
@@ -314,8 +299,6 @@ def torus_graph(p: PeriodicPattern, repetitions: int = 20):
 
 
 def parse_pattern(text: str) -> PeriodicPattern:
-    from .graph import ParseError
-
     kind = None
     basis = None
     detectors = []

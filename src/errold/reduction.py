@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, ParseError
+from .graph import Graph, ParseError, ResourceLimit
 from .detection import ERR_OLD, verify, forced_detectors
 from .solver import detector_set_within
 
@@ -63,10 +63,6 @@ VARIABLE_BLOCK = 25
 CLAUSE_BLOCK = 8
 FORCED_PER_VARIABLE = 21
 FORCED_PER_CLAUSE = 7
-
-
-class ResourceLimit(Exception):
-    """Instance too large for the exhaustive component of the check."""
 
 
 @dataclass(frozen=True)
@@ -380,13 +376,20 @@ def find_detector_set_within_budget(inst: ReductionInstance,
     return detector_set_within(inst.graph, ERR_OLD, inst.k, jobs=jobs)
 
 
-def roundtrip_check(formula: CnfFormula, jobs: int = 1) -> bool:
-    """True iff brute-force satisfiability agrees with the budgeted
-    detector-set decision on the compiled instance."""
-    if 4 * formula.num_variables + formula.num_clauses > MAX_FREE_VERTICES:
-        raise ResourceLimit("formula too large: need 4N + M <= "
-                            f"{MAX_FREE_VERTICES}")
-    sat, _ = sat_brute_force(formula)
+@dataclass(frozen=True)
+class RoundTrip:
+    """Brute-force satisfiability and the budgeted detector-set decision on
+    the compiled instance; true iff they agree."""
+    satisfiable: bool
+    found: bool
+    k: int
+
+    def __bool__(self):
+        return self.satisfiable == self.found
+
+
+def roundtrip_check(formula: CnfFormula, jobs: int = 1) -> RoundTrip:
+    """The decision runs first, so its size guard precedes the SAT oracle."""
     inst = build_instance(formula)
     found = find_detector_set_within_budget(inst, jobs=jobs) is not None
-    return sat == found
+    return RoundTrip(sat_brute_force(formula)[0], found, inst.k)

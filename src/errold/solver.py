@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, bits_to_list, mask_of
+from .parallel import run_tasks, split_depth
 from .detection import (
     DetectionKind, ERR_OLD, SYMMETRIC, verify, exists_err_old,
     forced_detectors_for_kind,
@@ -76,15 +77,11 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def decision(g: Graph, kind: DetectionKind, k: int,
-             strategy: str = "branch-and-bound") -> bool:
+def decision(g: Graph, kind: DetectionKind, k: int) -> bool:
     """True iff some detector set of size <= k passes verification."""
     if k < 0:
         raise ValueError("threshold must be non-negative")
-    if strategy == "branch-and-bound":
-        return detector_set_within(g, kind, k) is not None
-    res = minimum_detector_set(g, kind, strategy=strategy)
-    return res.status == "optimal" and res.optimum <= k
+    return detector_set_within(g, kind, k) is not None
 
 
 def detector_set_within(g: Graph, kind: DetectionKind, k: int,
@@ -163,8 +160,8 @@ def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
             first_hit: bool = False, budget: int | None = None,
             jobs: int = 1) -> tuple[int | None, int]:
     """Fix the forced detectors and run the core from the root or, with
-    jobs > 1, on every subtree below the first few branch vertices in
-    worker processes, with the budget applying to each subtree.
+    jobs > 1, on every subtree below the first few (at most 8) branch
+    vertices in worker processes, with the budget applying to each subtree.
 
     The serial search replaces its best only on strict improvement, and
     until its first hit what it prunes below a node depends on that node
@@ -173,9 +170,7 @@ def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
     subtree, in serial order, that has a hit."""
     forced = mask_of(forced_detectors_for_kind(g, kind))
     order = [v for v in _branch_order(g) if not (forced >> v & 1)]
-    depth = 0
-    while jobs > 1 and 2 ** depth < jobs * 2 and depth < len(order):
-        depth += 1
+    depth = min(split_depth(jobs, 2), len(order))
     tasks = []
     for prefix in itertools.product((1, 0), repeat=depth):
         chosen, undecided = forced, g.full_mask() & ~forced
@@ -185,21 +180,16 @@ def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
                 chosen |= 1 << v
         tasks.append((g, kind, chosen, undecided, order[depth:], limit,
                       first_hit, budget))
-    if jobs > 1:
-        import concurrent.futures
-        import multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(_branch_and_bound, *task) for task in tasks]
-            results = [fut.result() for fut in futures]
-    else:
-        results = [_branch_and_bound(*tasks[0])]
+    results = run_tasks(_subtree, tasks, jobs)
     nodes = sum(n for _, n in results)
     hits = [best for best, _ in results if best is not None]
     if not hits:
         return None, nodes
     return (hits[0] if first_hit else min(hits, key=int.bit_count)), nodes
+
+
+def _subtree(task) -> tuple[int | None, int]:
+    return _branch_and_bound(*task)
 
 
 def _branch_and_bound(g: Graph, kind: DetectionKind, chosen: int,

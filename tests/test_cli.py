@@ -122,6 +122,45 @@ def test_python_dash_m_entry_point(module):
     assert proc.returncode == 0 and "usage: errold" in proc.stdout
 
 
+def test_import_does_not_load_the_process_pool():
+    # the pool modules are imported only when --jobs starts workers
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(errold.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, errold.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "g.el", "--kind", "err"],
+    ["decide", "--graph", "g.el", "--kind", "err", "--k", "3"],
+    ["enumerate", "--n", "4"],
+    ["roundtrip", "--cnf", "f.cnf"],
+    ["grid-search", "--grid", "SQR", "--max-index", "2"],
+])
+def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_dead_worker_exits_two(capsys, monkeypatch):
+    import errold.grids
+    from errold.parallel import run_tasks
+    monkeypatch.setattr(errold.grids, "run_tasks",
+                        lambda fn, tasks, jobs: run_tasks(os._exit, [3] * len(tasks), jobs))
+    code, out = run(capsys, "grid-search", "--grid", "SQR", "--max-index", "2",
+                    "--jobs", "2")
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error" and "worker" in rep["error"]
+
+
 def test_solve_and_decide(capsys, files):
     code, out = run(capsys, "solve", "--graph", files["petersen"], "--kind", "err")
     rep = report_dict(out)
@@ -206,6 +245,17 @@ def test_roundtrip(capsys, files):
     code, out = run(capsys, "roundtrip", "--cnf", files["cnf"])
     rep = report_dict(out)
     assert code == 0 and rep["equivalent"] == "true" and rep["satisfiable"] == "true"
+
+
+def test_oversized_roundtrip_is_refused_before_sat(capsys, tmp_path, monkeypatch):
+    def no_sat(formula):
+        raise AssertionError("SAT oracle ran before the size guard")
+    monkeypatch.setattr("errold.reduction.sat_brute_force", no_sat)
+    cnf = tmp_path / "big.cnf"
+    cnf.write_text("p cnf 6 2\n1 2 3 0\n-4 5 -6 0\n")   # 4N + M = 26 > 20
+    code, out = run(capsys, "roundtrip", "--cnf", cnf)
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error" and "free vertices" in rep["error"]
 
 
 def test_grid_commands(capsys, tmp_path):
