@@ -9,7 +9,23 @@ distinguishing only needs the displacements at grid distance <= 2, because
 once every vertex is 3-dominated, two vertices at distance >= 3 have
 disjoint dominator sets whose symmetric difference is already >= 6.  Pair
 checks compare dominator sets as concrete plane points, so lattices with
-very short periods are handled, not excluded."""
+very short periods are handled, not excluded.
+
+The search screens each candidate detector set with precomputed
+requirement masks instead of certifying it.  Every requirement of
+certification is a multiset of residue classes: domination of u needs 3
+detectors in N(u), and distinguishing u from u + delta needs 3 in
+N(u) symmetric-difference N(u + delta), both taken as plane points (the
+detectors of that difference are exactly du ^ dv).  A multiset is stored as
+one bitmask per multiplicity level, mask k holding the classes that occur at
+least k times (k <= 3: three hits meet any requirement), so a candidate
+passes iff the popcounts of its detector mask against the levels sum to 3 or
+more.  The screen is therefore exact, and certification confirms only the
+pattern a lattice returns.  The search also visits one lattice per orbit of
+the grid's point group: an automorphism fixing the origin maps certified
+patterns on L to certified patterns of the same density on its image, so
+only the image that comes first in the enumeration order can hold the first
+pattern of minimum density."""
 
 from __future__ import annotations
 
@@ -49,6 +65,27 @@ GRID_KINDS = {"SQR": SQR, "TRI": TRI, "KNG": KNG}
 
 class PatternError(ValueError):
     """Invalid periodic pattern data."""
+
+
+# Certification costs about 400 reductions per residue class, so this keeps
+# grid-certify and grid-share on one pattern within seconds.
+MAX_PATTERN_INDEX = 10_000
+# A rendering is window**2 characters, one reduction each.
+MAX_RENDER_WINDOW = 1_000
+
+
+def hermite_form(basis) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The basis ((A,0),(C,B)) with A, B > 0 and 0 <= C < A of the lattice
+    spanned by `basis`, as listed by `hermite_bases`."""
+    (a1, a2), (b1, b2) = basis
+    # Euclid on the second coordinates; each step is unimodular
+    while b2:
+        q = a2 // b2
+        a1, a2, b1, b2 = b1, b2, a1 - q * b1, a2 - q * b2
+    if a2 < 0:
+        a1, a2 = -a1, -a2
+    width = abs(b1)
+    return ((width, 0), (a1 % width, a2))
 
 
 @dataclass(frozen=True)
@@ -91,15 +128,13 @@ class PeriodicPattern:
         return self.reduce(point) in self.detectors
 
     def residue_classes(self) -> list[tuple[int, int]]:
-        """One representative per residue class, sorted."""
-        idx = self.index
-        seen: set[tuple[int, int]] = set()
-        for x in range(idx):
-            for y in range(idx):
-                seen.add(self.reduce((x, y)))
-                if len(seen) == idx:
-                    return sorted(seen)
-        return sorted(seen)
+        """One representative per residue class, sorted.  The points
+        0 <= x < A, 0 <= y < B of the Hermite form ((A,0),(C,B)) lie in
+        distinct classes, A*B of them."""
+        if self.index > MAX_PATTERN_INDEX:
+            raise PatternError(f"lattice index {self.index} exceeds {MAX_PATTERN_INDEX}")
+        (width, _), (_, height) = hermite_form(self.basis)
+        return sorted(self.reduce((x, y)) for x in range(width) for y in range(height))
 
     def translate(self, vector: tuple[int, int]) -> "PeriodicPattern":
         dx, dy = vector
@@ -219,38 +254,90 @@ def hermite_bases(index: int):
             yield ((a, 0), (c, b))
 
 
+def point_group(kind: GridKind) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The integer matrices ((p, q), (r, s)), (x, y) -> (px + qy, rx + sy),
+    that map the grid's neighbour offsets onto themselves: its automorphisms
+    fixing the origin.  Its columns are the images of the offsets (1, 0)
+    and (0, 1), so its entries are in {-1, 0, 1}."""
+    offsets = set(kind.offsets)
+    return [((p, q), (r, s)) for p, q, r, s in itertools.product((-1, 0, 1), repeat=4)
+            if abs(p * s - q * r) == 1
+            and {(p * x + q * y, r * x + s * y) for x, y in offsets} == offsets]
+
+
+def _first_in_orbit(basis, group) -> bool:
+    """True iff no image of the lattice under `group` comes before it in
+    `hermite_bases` order, which sorts bases of one index by (A, C)."""
+    (width, _), (shift, _) = basis
+    for (p, q), (r, s) in group:
+        image = tuple((p * x + q * y, r * x + s * y) for x, y in basis)
+        (w, _), (c, _) = hermite_form(image)
+        if (w, c) < (width, shift):
+            return False
+    return True
+
+
 def search_patterns(kind: GridKind, max_index: int,
                     jobs: int = 1) -> PeriodicPattern | None:
     """Certified pattern of minimum density over all lattices of index up to
     max_index and all detector subsets; ties prefer the smaller index, then
-    the lexicographically first detector set.
+    the earlier Hermite basis, then the lexicographically first detector set.
 
     Only subsets containing residue (0,0) are tried: every certified pattern
     has a certified translate whose detector list starts at the least
-    residue, and that translate is lexicographically no larger."""
+    residue, and that translate is lexicographically no larger.  Only the
+    first lattice of each point-group orbit is searched: the others reach
+    the same density and come later in the tie order."""
     if max_index > MAX_SEARCH_INDEX:
         raise PatternError(f"exhaustive search supports index <= {MAX_SEARCH_INDEX}")
+    group = point_group(kind)
     tasks = [(kind, basis) for index in range(1, max_index + 1)
-             for basis in hermite_bases(index)]
+             for basis in hermite_bases(index) if _first_in_orbit(basis, group)]
     # min keeps the first of equally dense patterns, in task order
     found = [p for p in run_tasks(_search_basis, tasks, jobs) if p is not None]
     return min(found, key=pattern_density, default=None)
 
 
+def requirement_masks(p: PeriodicPattern) -> list[tuple[int, int, int]]:
+    """The distinct certification requirements of the lattice of `p`, each
+    as masks (m1, m2, m3) over the indices of `p.residue_classes()`, mk
+    holding the classes that occur at least k times in the requirement's
+    multiset: a detector mask D certifies iff every requirement has
+    sum((m & D).bit_count() for m in masks) >= 3.  Multiplicities are capped
+    at 3, which meets the requirement on its own."""
+    offsets = set(p.kind.offsets)
+    shapes = [p.kind.offsets] + [
+        tuple(offsets ^ {(dx + ox, dy + oy) for ox, oy in offsets})
+        for dx, dy in p.kind.displacements_within_two()]
+    near = set().union(*shapes)
+    classes = p.residue_classes()
+    cindex = {c: i for i, c in enumerate(classes)}
+    requirements = {}
+    for x, y in classes:
+        bit = {(dx, dy): 1 << cindex[p.reduce((x + dx, y + dy))] for dx, dy in near}
+        for shape in shapes:
+            masks = [0, 0, 0]
+            for point in shape:
+                b = bit[point]
+                # masks are nested, so the first one without b is the next
+                # level; a class already on all three is capped
+                for level, m in enumerate(masks):
+                    if not m & b:
+                        masks[level] = m | b
+                        break
+            requirements[tuple(masks)] = None
+    return list(requirements)
+
+
 def _search_basis(args) -> PeriodicPattern | None:
     """Lowest-density certified pattern on one lattice, detectors tried in
-    size-then-lexicographic order.
-
-    Candidates failing the cheap per-class domination count (computed on
-    precomputed neighbour-class tables, with repeats for short lattices)
-    never reach the full certification."""
+    size-then-lexicographic order and screened with `requirement_masks`;
+    only the pattern returned is certified, as a confirmation."""
     kind, basis = args
     probe = PeriodicPattern(kind, basis, frozenset())
     classes = probe.residue_classes()
     index = probe.index
-    cindex = {c: i for i, c in enumerate(classes)}
-    nbr = [[cindex[probe.reduce((c[0] + ox, c[1] + oy))] for ox, oy in kind.offsets]
-           for c in classes]
+    requirements = requirement_masks(probe)
     # every class needs 3 detector neighbours and a detector dominates at
     # most |offsets| classes, so 3*index <= |detectors|*|offsets|
     min_size = -(-3 * index // len(kind.offsets))
@@ -259,11 +346,18 @@ def _search_basis(args) -> PeriodicPattern | None:
             detmask = 1
             for i in combo:
                 detmask |= 1 << i
-            if any(sum(detmask >> c & 1 for c in row) < 3 for row in nbr):
-                continue
-            pat = PeriodicPattern(kind, basis,
-                                  frozenset([classes[0]] + [classes[i] for i in combo]))
-            if certify_pattern(pat).ok:
+            for k, (m1, m2, m3) in enumerate(requirements):
+                if ((m1 & detmask).bit_count() + (m2 & detmask).bit_count()
+                        + (m3 & detmask).bit_count()) < 3:
+                    # consecutive candidates mostly fail the same requirement
+                    if k:
+                        requirements.insert(0, requirements.pop(k))
+                    break
+            else:
+                pat = PeriodicPattern(kind, basis,
+                                      frozenset([classes[0]] + [classes[i] for i in combo]))
+                if not certify_pattern(pat).ok:
+                    raise RuntimeError(f"requirement masks passed an uncertified pattern on {basis}")
                 return pat
     return None
 
@@ -275,7 +369,8 @@ def torus_graph(p: PeriodicPattern, repetitions: int = 20):
     """Finite quotient graph of the grid by `repetitions` times the pattern
     lattice, with the detector set mapped along.  Local structure within
     radius 2 matches the plane for repetitions >= 5, so the finite verifier
-    restricted to distance <= 2 pairs agrees with certification."""
+    restricted to distance <= 2 pairs agrees with certification.  The
+    quotient has index * repetitions**2 vertices, at most MAX_PATTERN_INDEX."""
     (a1, a2), (b1, b2) = p.basis
     big = PeriodicPattern(p.kind, ((a1 * repetitions, a2 * repetitions),
                                    (b1 * repetitions, b2 * repetitions)),
@@ -350,6 +445,8 @@ def render_pattern(p: PeriodicPattern, window: int) -> str:
     are printed top-down from y = window-1, detectors as '#'."""
     if window < 1:
         raise PatternError("window must be at least 1")
+    if window > MAX_RENDER_WINDOW:
+        raise PatternError(f"window must be at most {MAX_RENDER_WINDOW}")
     rows = []
     for y in range(window - 1, -1, -1):
         rows.append("".join("#" if p.is_detector((x, y)) else "."

@@ -288,6 +288,25 @@ def test_render(capsys):
     assert figure.count("#") == 56
 
 
+def test_oversized_pattern_index_exits_two(capsys, tmp_path):
+    from errold.grids import MAX_PATTERN_INDEX
+    pat = tmp_path / "big.pattern"
+    pat.write_text(f"grid SQR\nbasis {MAX_PATTERN_INDEX + 1} 0 0 1\ndetector 0 0\n")
+    for cmd in ("grid-certify", "grid-share"):
+        code, out = run(capsys, cmd, "--pattern", pat)
+        rep = report_dict(out)
+        assert code == 2 and rep["status"] == "error" and "index" in rep["error"]
+
+
+def test_oversized_render_window_exits_two(capsys):
+    from errold.grids import MAX_RENDER_WINDOW
+    pat = PATTERN_DIR / "sqr_7_8.pattern"
+    code, out = run(capsys, "render", "--pattern", pat,
+                    "--window", str(MAX_RENDER_WINDOW + 1))
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error" and "window" in rep["error"]
+
+
 def test_reports_are_reproducible(capsys, files):
     _, out1 = run(capsys, "verify", "--graph", files["petersen"],
                   "--set", files["all10"], "--kind", "err")

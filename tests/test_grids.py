@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,10 +7,12 @@ import pytest
 
 from errold.detection import verify, ERR_OLD
 from errold.grids import (SQR, TRI, KNG, PeriodicPattern, PatternError,
+                          MAX_PATTERN_INDEX, MAX_RENDER_WINDOW,
                           pattern_density, certify_pattern, max_share, share_sum,
-                          hermite_bases, search_patterns, torus_graph,
-                          parse_pattern, serialize_pattern, load_pattern,
-                          render_pattern)
+                          hermite_bases, hermite_form, point_group,
+                          requirement_masks, search_patterns, _search_basis,
+                          torus_graph, parse_pattern, serialize_pattern,
+                          load_pattern, render_pattern)
 
 PATTERN_DIR = Path(__file__).resolve().parent.parent / "patterns"
 
@@ -77,6 +80,34 @@ def test_residue_class_count():
         assert len(p.residue_classes()) == p.index
 
 
+def test_hermite_form():
+    """The Hermite form spans the same lattice, is listed by hermite_bases,
+    and the residues enumerated from it equal a scan of the index square."""
+    rng = random.Random(46)
+    unimods = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)),
+               ((1, -1), (0, 1)), ((2, 1), (1, 1)), ((1, 0), (0, -1))]
+    for _ in range(200):
+        p = random_pattern(rng)
+        for _ in range(rng.randint(0, 3)):
+            p = p.change_basis(rng.choice(unimods))
+        hnf = hermite_form(p.basis)
+        assert hnf in hermite_bases(p.index)
+        q = PeriodicPattern(p.kind, hnf, frozenset())
+        assert all(p.reduce(v) == (0, 0) for v in hnf)
+        assert all(q.reduce(v) == (0, 0) for v in p.basis)
+        square = {p.reduce((x, y)) for x in range(p.index) for y in range(p.index)}
+        assert p.residue_classes() == sorted(square)
+
+
+def test_index_guard():
+    side = int(MAX_PATTERN_INDEX ** 0.5) + 1
+    p = PeriodicPattern(SQR, ((side, 0), (0, side)), frozenset([(0, 0)]))
+    with pytest.raises(PatternError, match="index"):
+        p.residue_classes()
+    with pytest.raises(PatternError, match="index"):
+        certify_pattern(p)
+
+
 # -- certification -------------------------------------------------------------------
 
 def test_certify_all_detectors_square():
@@ -97,6 +128,42 @@ def test_saved_patterns_certify():
     for name, pat in saved_patterns().items():
         assert certify_pattern(pat).ok, name
         assert pattern_density(pat) == expected[name]
+
+
+def mask_screen_passes(p):
+    index = {c: i for i, c in enumerate(p.residue_classes())}
+    detmask = sum(1 << index[c] for c in p.detectors)
+    return all(sum((m & detmask).bit_count() for m in masks) >= 3
+               for masks in requirement_masks(p))
+
+
+def test_requirement_masks_match_certify():
+    """The mask screen accepts exactly the certified patterns: every subset
+    on every lattice of index <= 4, where offsets fold onto few classes,
+    then random patterns on larger lattices."""
+    checked = certified = 0
+    for kind in (SQR, TRI, KNG):
+        for index in range(1, 5):
+            for basis in hermite_bases(index):
+                classes = PeriodicPattern(kind, basis, frozenset()).residue_classes()
+                for size in range(1, index + 1):
+                    for dets in itertools.combinations(classes, size):
+                        p = PeriodicPattern(kind, basis, frozenset(dets))
+                        ok = certify_pattern(p).ok
+                        assert mask_screen_passes(p) == ok, (kind.name, basis, dets)
+                        checked += 1
+                        certified += ok
+    rng = random.Random(47)
+    for _ in range(600):
+        p = random_pattern(rng, max_dim=5)
+        q = PeriodicPattern(p.kind, p.basis,
+                            p.detectors | frozenset(rng.sample(p.residue_classes(), p.index // 2)))
+        for pat in (p, q):
+            ok = certify_pattern(pat).ok
+            assert mask_screen_passes(pat) == ok, serialize_pattern(pat)
+            checked += 1
+            certified += ok
+    assert certified > 100 and checked - certified > 100
 
 
 def test_certify_agrees_with_torus_verifier():
@@ -182,6 +249,59 @@ def test_hermite_bases_complete():
     assert sum(1 for _ in hermite_bases(12)) == 28
 
 
+def certify_loop(kind, basis):
+    """Per-lattice search by certifying every candidate, in the search's
+    size-then-lexicographic order: the reference for _search_basis."""
+    classes = PeriodicPattern(kind, basis, frozenset()).residue_classes()
+    index = len(classes)
+    for size in range(max(-(-3 * index // len(kind.offsets)), 1), index + 1):
+        for combo in itertools.combinations(range(1, index), size - 1):
+            pat = PeriodicPattern(kind, basis,
+                                  frozenset([classes[0]] + [classes[i] for i in combo]))
+            if certify_pattern(pat).ok:
+                return pat
+    return None
+
+
+SEARCH_BOUNDS = [(SQR, 8), (TRI, 7), (KNG, 11)]
+
+
+@pytest.mark.parametrize("kind,max_index", SEARCH_BOUNDS, ids=lambda v: getattr(v, "name", v))
+def test_search_basis_matches_certify_loop(kind, max_index):
+    for index in range(1, max_index + 1):
+        for basis in hermite_bases(index):
+            assert _search_basis((kind, basis)) == certify_loop(kind, basis), basis
+
+
+@pytest.mark.parametrize("kind,max_index", SEARCH_BOUNDS, ids=lambda v: getattr(v, "name", v))
+def test_orbit_skipping_matches_all_bases(kind, max_index):
+    every = [_search_basis((kind, basis)) for index in range(1, max_index + 1)
+             for basis in hermite_bases(index)]
+    assert search_patterns(kind, max_index) == min(every, key=pattern_density)
+
+
+def test_point_groups():
+    assert [len(point_group(k)) for k in (SQR, TRI, KNG)] == [8, 12, 8]
+    for kind in (SQR, TRI, KNG):
+        group = point_group(kind)
+        for (p, q), (r, s) in group:
+            assert {(p * x + q * y, r * x + s * y) for x, y in kind.offsets} == set(kind.offsets)
+        # closed under composition
+        compose = {(((a * e + b * g), (a * f + b * h)), ((c * e + d * g), (c * f + d * h)))
+                   for (a, b), (c, d) in group for (e, f), (g, h) in group}
+        assert compose == set(group)
+
+
+def test_search_king_at_eighteen():
+    """The 4/9 king pattern, with the tie order that picks it: the first
+    lattice in Hermite order that reaches 4/9, and its first detector set."""
+    best = search_patterns(KNG, 18)
+    assert serialize_pattern(best) == (
+        "grid KNG\nbasis 6 0 3 3\n"
+        "detector 0 0\ndetector 1 1\ndetector 2 0\ndetector 2 2\n"
+        "detector 3 1\ndetector 4 0\ndetector 4 2\ndetector 5 1\n")
+
+
 def test_search_square_small():
     best = search_patterns(SQR, 1)
     assert pattern_density(best) == 1
@@ -241,3 +361,6 @@ def test_render():
     assert fig.count("#") == 56          # density * area on a lattice-aligned window
     with pytest.raises(PatternError):
         render_pattern(full, 0)
+    assert len(render_pattern(full, MAX_RENDER_WINDOW)) == MAX_RENDER_WINDOW * (MAX_RENDER_WINDOW + 1)
+    with pytest.raises(PatternError, match="window"):
+        render_pattern(full, MAX_RENDER_WINDOW + 1)
