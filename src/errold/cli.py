@@ -265,8 +265,9 @@ def cmd_grid_share(args) -> int:
     report.add("grid", pat.kind.name)
     report.add("index", pat.index)
     report.add("density", grids.pattern_density(pat))
-    report.add("max-share", grids.max_share(pat))
-    report.add("share-sum", grids.share_sum(pat))
+    shares = grids.detector_shares(pat)
+    report.add("max-share", max(shares))
+    report.add("share-sum", sum(shares))
     report.emit("ok")
     return 0
 

@@ -16,6 +16,7 @@ safe to run from concurrent workers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, ParseError, bits_to_list, mask_of
@@ -103,38 +104,46 @@ def verify(g: Graph, detectors, kind: DetectionKind,
            strategy: str = "pruned") -> Verdict:
     """Check whether `detectors` is a valid set of the given kind.
 
-    Vertices are scanned in increasing order, then pairs in lexicographic
-    order, so the failure witness is deterministic.  The default 'pruned'
-    strategy only tests pairs at distance <= 2 once domination has passed:
-    a pair at distance >= 3 has disjoint dominator sets whose difference is
-    already dom(u) + dom(v) >= 2d >= t for every supported kind.  The
-    'naive' strategy scans all pairs and serves as the oracle.
-    """
-    smask = _as_mask(detectors)
-    d, t, mode = kind.min_domination, kind.distinguish_threshold, kind.mode
-    for v in range(g.n):
-        got = (g.adj[v] & smask).bit_count()
-        if got < d:
-            return Verdict(False, vertex=v, value=got)
-    if strategy == "pruned":
-        pairs = g.pairs_within_distance_two()
-    elif strategy == "naive":
-        pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
-    else:
+    The 'pruned' strategy tests the pairs at distance <= 2 (see
+    first_failure); the 'naive' strategy scans all pairs and serves as the
+    oracle."""
+    if strategy not in ("pruned", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if mode == SYMMETRIC:
+    pairs = itertools.combinations(range(g.n), 2) if strategy == "naive" else None
+    failure = first_failure(g, _as_mask(detectors), kind, pairs)
+    return Verdict(True) if failure is None else Verdict(False, *failure)
+
+
+def first_failure(g: Graph, smask: int, kind: DetectionKind, pairs=None):
+    """The first requirement the detector mask `smask` fails, as
+    (vertex, None, value) or (None, pair, value), or None if it meets all.
+
+    Vertices are scanned in increasing order, then `pairs` in order, so the
+    witness is deterministic.  `pairs` defaults to the pairs at distance
+    <= 2: once domination has passed, a pair at distance >= 3 has disjoint
+    dominator sets whose difference is already dom(u) + dom(v) >= 2d >= t
+    for every supported kind."""
+    adj = g.adj
+    d, t = kind.min_domination, kind.distinguish_threshold
+    for v in range(g.n):
+        got = (adj[v] & smask).bit_count()
+        if got < d:
+            return v, None, got
+    if pairs is None:
+        pairs = g.pairs_within_distance_two()
+    if kind.mode == SYMMETRIC:
         for u, v in pairs:
-            got = ((g.adj[u] ^ g.adj[v]) & smask).bit_count()
+            got = ((adj[u] ^ adj[v]) & smask).bit_count()
             if got < t:
-                return Verdict(False, pair=(u, v), value=got)
+                return None, (u, v), got
     else:
         for u, v in pairs:
-            du = g.adj[u] & smask
-            dv = g.adj[v] & smask
+            du = adj[u] & smask
+            dv = adj[v] & smask
             got = max((du & ~dv).bit_count(), (dv & ~du).bit_count())
             if got < t:
-                return Verdict(False, pair=(u, v), value=got)
-    return Verdict(True)
+                return None, (u, v), got
+    return None
 
 
 def is_open_dominating(g: Graph, detectors) -> bool:

@@ -2,10 +2,12 @@
 (degrees, 4-cycles, twins, short distances, triangle/P5 edge predicates)
 used throughout the toolkit.
 
-Vertices are dense integers 0..n-1.  Graphs are immutable after construction;
-the adjacency masks are built eagerly on construction and the distance-2
-pairs lazily on first use, then cached, so a single graph can be shared
-freely between workers.
+Vertices are dense integers 0..n-1.  A graph stores only its adjacency rows
+(bit v of adj[u] is set iff uv is an edge), built on construction, and the
+distance-2 pairs, computed on first use and cached; the edge set, the edge
+count, equality and hashing are all read from the rows.  Graphs are
+immutable after construction, so a single graph can be shared freely
+between workers.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ class ResourceLimit(Exception):
 
 Edge = tuple[int, int]
 
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
+# Largest vertex count an edge list may declare or imply.
+MAX_VERTICES = 100_000
 
 
 class Graph:
@@ -38,39 +39,38 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        seen: set[Edge] = set()
+        adj = [0] * n
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-        self.n = n
-        self.edges = frozenset(seen)
-        adj = [0] * n
-        for u, v in seen:
+            if adj[u] >> v & 1:
+                raise GraphError(f"duplicate edge ({min(u, v)},{max(u, v)})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        self.n = n
         self.adj = adj
         self._dist2_pairs: list[tuple[int, int]] | None = None
 
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, tuple(self.adj)))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees()) // 2
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges())
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -85,7 +85,9 @@ class Graph:
         return u != v and bool(self.adj[u] >> v & 1)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        # row u from bit u up holds the neighbours v > u, in increasing order
+        return [(u, v) for u, row in enumerate(self.adj)
+                for v in bits_to_list(row >> u << u)]
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -234,6 +236,9 @@ def parse_edge_list(text: str) -> Graph:
         saw_edge = True
     if declared_n is None:
         declared_n = 1 + max((max(e) for e in edges), default=-1)
+    if declared_n > MAX_VERTICES:
+        raise ResourceLimit(f"vertex count {declared_n} exceeds the limit of "
+                            f"{MAX_VERTICES}")
     return Graph(declared_n, edges)
 
 

@@ -202,40 +202,29 @@ def certify_pattern(p: PeriodicPattern) -> GridCertificate:
     return GridCertificate(True, domination=domination)
 
 
-def max_share(p: PeriodicPattern) -> Fraction:
-    """Maximum share over detector classes: the share of a detector v is the
-    sum of 1/dom(u) over its grid neighbours u.  Requires a certified
-    pattern so every domination count is positive."""
+def detector_shares(p: PeriodicPattern) -> list[Fraction]:
+    """Share of each detector class, in sorted detector order: the share of
+    a detector v is the sum of 1/dom(u) over its grid neighbours u.
+    Requires a certified pattern so every domination count is positive."""
     cert = certify_pattern(p)
     if not cert.ok:
         raise PatternError("share is defined for certified patterns only")
     dom = cert.domination
-    best = None
-    for v in sorted(p.detectors):
-        share = Fraction(0)
-        for ox, oy in p.kind.offsets:
-            u = p.reduce((v[0] + ox, v[1] + oy))
-            share += Fraction(1, dom[u])
-        if best is None or share > best:
-            best = share
-    if best is None:
-        raise PatternError("pattern has no detectors")
-    return best
+    return [sum((Fraction(1, dom[p.reduce((x + ox, y + oy))])
+                 for ox, oy in p.kind.offsets), Fraction(0))
+            for x, y in sorted(p.detectors)]
+
+
+def max_share(p: PeriodicPattern) -> Fraction:
+    """Maximum share over detector classes (a certified pattern has at
+    least one detector)."""
+    return max(detector_shares(p))
 
 
 def share_sum(p: PeriodicPattern) -> Fraction:
     """Sum of shares over detector classes; equals the lattice index for any
     certified pattern (each class u contributes dom(u) * 1/dom(u))."""
-    cert = certify_pattern(p)
-    if not cert.ok:
-        raise PatternError("share is defined for certified patterns only")
-    dom = cert.domination
-    total = Fraction(0)
-    for v in p.detectors:
-        for ox, oy in p.kind.offsets:
-            u = p.reduce((v[0] + ox, v[1] + oy))
-            total += Fraction(1, dom[u])
-    return total
+    return sum(detector_shares(p), Fraction(0))
 
 
 # -- search ----------------------------------------------------------------------

@@ -9,10 +9,12 @@ undecided vertices become detectors.  One iterative branch-and-bound core
 answers both the minimisation and the decision "is there a set of size
 <= k?", serially or split over worker processes.
 
-Soundness of the pruning rests on monotonicity: dominator sets and their
-differences only grow when detectors are added, so a requirement that fails
-against (chosen | undecided) fails for every completion.  The same
-monotonicity makes S = V(G) the feasibility test."""
+Feasibility, pruning and acceptance are one scan, detection.first_failure.
+Dominator sets and their differences only grow when detectors are added, so
+a requirement that fails against (chosen | undecided) fails for every
+completion: a node is pruned iff that set fails, the graph is feasible iff
+S = V(G) passes, and at a leaf, where nothing is undecided, the same test
+has verified the chosen set."""
 
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 from .graph import Graph, bits_to_list, mask_of
 from .parallel import run_tasks, split_depth
 from .detection import (
-    DetectionKind, ERR_OLD, SYMMETRIC, verify, exists_err_old,
-    forced_detectors_for_kind,
+    DetectionKind, first_failure, verify, forced_detectors_for_kind,
 )
 
 
@@ -64,7 +65,7 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     worker processes; the result is identical to the serial search except
     for the advisory nodes_explored counter.
     """
-    if not _feasible(g, kind):
+    if not verify(g, g.full_mask(), kind).ok:
         return SolveResult(status="infeasible", nodes_explored=1)
     if strategy == "exhaustive":
         return _solve_exhaustive(g, kind, budget)
@@ -93,12 +94,6 @@ def detector_set_within(g: Graph, kind: DetectionKind, k: int,
     return None if best is None else set(bits_to_list(best))
 
 
-def _feasible(g: Graph, kind: DetectionKind) -> bool:
-    if kind == ERR_OLD:
-        return exists_err_old(g).exists
-    return verify(g, g.full_mask(), kind).ok
-
-
 def _solve_exhaustive(g: Graph, kind: DetectionKind,
                       budget: int | None) -> SolveResult:
     nodes = 0
@@ -119,28 +114,6 @@ def _solve_exhaustive(g: Graph, kind: DetectionKind,
 def _branch_order(g: Graph) -> list[int]:
     # descending degree, ties by vertex id
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-
-
-def _prunable(g: Graph, kind: DetectionKind, chosen: int, undecided: int) -> bool:
-    """True when some requirement is unreachable even if every undecided
-    vertex becomes a detector."""
-    potential = chosen | undecided
-    d, t = kind.min_domination, kind.distinguish_threshold
-    for v in range(g.n):
-        if (g.adj[v] & potential).bit_count() < d:
-            return True
-    # once potential-domination holds, pairs at distance >= 3 cannot fail
-    if kind.mode == SYMMETRIC:
-        for u, v in g.pairs_within_distance_two():
-            if ((g.adj[u] ^ g.adj[v]) & potential).bit_count() < t:
-                return True
-    else:
-        for u, v in g.pairs_within_distance_two():
-            du = g.adj[u] & potential
-            dv = g.adj[v] & potential
-            if max((du & ~dv).bit_count(), (dv & ~du).bit_count()) < t:
-                return True
-    return False
 
 
 def _domination_lower_bound(g: Graph, kind: DetectionKind,
@@ -197,7 +170,8 @@ def _branch_and_bound(g: Graph, kind: DetectionKind, chosen: int,
                       limit: int | None = None, first_hit: bool = False,
                       budget: int | None = None) -> tuple[int | None, int]:
     """Depth-first search from the state (chosen, undecided), branching on
-    the vertices of `order` in turn, take before skip.
+    the vertices of `order`, which are exactly the undecided ones, in turn,
+    take before skip.
 
     Only sets smaller than `limit` (if given) are hits, and after a hit only
     strictly smaller sets are; with `first_hit` the search stops at its
@@ -219,16 +193,16 @@ def _branch_and_bound(g: Graph, kind: DetectionKind, chosen: int,
         size = chosen.bit_count()
         if bound is not None and size >= bound:
             continue
-        if _prunable(g, kind, chosen, undecided):
+        if first_failure(g, chosen | undecided, kind) is not None:
             continue
         if bound is not None and \
                 _domination_lower_bound(g, kind, chosen, undecided) >= bound:
             continue
         if idx == len(order):
-            if verify(g, chosen, kind).ok:
-                best, bound = chosen, size
-                if first_hit:
-                    break
+            # nothing is undecided, so the test above verified `chosen`
+            best, bound = chosen, size
+            if first_hit:
+                break
             continue
         bit = 1 << order[idx]
         stack.append((idx + 1, chosen, undecided & ~bit))

@@ -280,6 +280,22 @@ def test_grid_commands(capsys, tmp_path):
     assert code == 1 and rep["pass"] == "false"
 
 
+def test_grid_share_certifies_once(capsys, monkeypatch):
+    from errold import grids
+    calls = []
+    certify = grids.certify_pattern
+
+    def counting(p):
+        calls.append(p)
+        return certify(p)
+
+    monkeypatch.setattr(grids, "certify_pattern", counting)
+    code, out = run(capsys, "grid-share", "--pattern", PATTERN_DIR / "kng_4_9.pattern")
+    rep = report_dict(out)
+    assert code == 0 and rep["max-share"] == "9/4" and rep["share-sum"] == "18"
+    assert len(calls) == 1
+
+
 def test_render(capsys):
     pat = PATTERN_DIR / "sqr_7_8.pattern"
     code, out = run(capsys, "render", "--pattern", pat, "--window", "8")
@@ -296,6 +312,16 @@ def test_oversized_pattern_index_exits_two(capsys, tmp_path):
         code, out = run(capsys, cmd, "--pattern", pat)
         rep = report_dict(out)
         assert code == 2 and rep["status"] == "error" and "index" in rep["error"]
+
+
+@pytest.mark.parametrize("text", ["n 100000000000\n0 1\n", "0 1\n1 100000000000\n"])
+def test_oversized_vertex_count_exits_two(capsys, tmp_path, text):
+    graph = tmp_path / "big.el"
+    graph.write_text(text)
+    code, out = run(capsys, "exists", "--graph", graph)
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error" and "vertex count" in rep["error"]
+    assert "Traceback" not in out
 
 
 def test_oversized_render_window_exits_two(capsys):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from errold.graph import Graph, GraphError, ParseError, parse_edge_list, serialize_edge_list
+from errold.graph import (MAX_VERTICES, Graph, GraphError, ParseError,
+                          ResourceLimit, parse_edge_list, serialize_edge_list)
 from errold.families import (complete_graph, cycle_graph, path_graph,
                              petersen_graph, random_graph, disjoint_union)
 
@@ -25,8 +26,10 @@ def test_parse_self_loop_rejected():
 
 
 def test_parse_duplicate_edge_rejected():
-    with pytest.raises(GraphError, match="duplicate"):
+    with pytest.raises(GraphError, match=r"^duplicate edge \(0,1\)$"):
         parse_edge_list("0 1\n1 0")
+    with pytest.raises(GraphError, match=r"^duplicate edge \(2,5\)$"):
+        Graph(6, [(5, 2), (0, 1), (5, 2)])
 
 
 def test_parse_declared_count_and_comments():
@@ -48,6 +51,29 @@ def test_parse_serialize_roundtrip():
         g = random_graph(rng.randint(0, 12), rng.random(), rng)
         g2 = parse_edge_list(serialize_edge_list(g))
         assert g2.n == g.n and g2.edges == g.edges
+
+
+def test_vertex_count_guard():
+    assert parse_edge_list(f"n {MAX_VERTICES}\n0 1\n").n == MAX_VERTICES
+    for text in (f"n {MAX_VERTICES + 1}\n0 1\n", f"0 {MAX_VERTICES}\n"):
+        with pytest.raises(ResourceLimit, match="vertex count"):
+            parse_edge_list(text)
+
+
+def test_identity_is_read_from_the_rows():
+    rng = random.Random(3)
+    for _ in range(100):
+        g = random_graph(rng.randint(0, 14), rng.random(), rng)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(edges)
+        h = Graph(g.n, edges)
+        assert h == g and hash(h) == hash(g)
+        assert h.edges == frozenset(h.sorted_edges())
+        assert h.sorted_edges() == sorted(h.edges)
+        assert h.m == len(h.edges)
+        if g.m:
+            assert Graph(g.n, edges[1:]) != g
+        assert Graph(g.n + 1, edges) != g
 
 
 def test_edge_validation():

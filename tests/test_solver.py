@@ -4,8 +4,8 @@ import random
 import pytest
 
 from errold.graph import Graph
-from errold.detection import (OLD, ERR_OLD, ALL_KINDS, verify,
-                              forced_detectors)
+from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
+                              verify, forced_detectors)
 from errold.solver import (minimum_detector_set, decision, detector_set_within,
                            SearchBudgetExceeded)
 from errold.families import (complete_graph, petersen_graph,
@@ -39,6 +39,19 @@ def test_petersen_err_old_is_ten():
 def test_heawood_err_old_is_fourteen():
     res = minimum_detector_set(heawood_graph(), ERR_OLD)
     assert res.status == "optimal" and res.optimum == 14
+
+
+@pytest.mark.parametrize("graph, kind, optimum, nodes", [
+    (heawood_graph, OLD, 8, 4155), (heawood_graph, RED_OLD, 12, 483),
+    (heawood_graph, DET_OLD, 12, 483), (heawood_graph, ERR_OLD, 14, 1),
+    (petersen_graph, OLD, 5, 265), (petersen_graph, RED_OLD, 8, 137),
+    (petersen_graph, DET_OLD, 9, 97), (petersen_graph, ERR_OLD, 10, 1),
+])
+def test_serial_search_is_pinned(graph, kind, optimum, nodes):
+    # the serial report prints both numbers; a change to the search that
+    # moves either must say so
+    res = minimum_detector_set(graph(), kind)
+    assert (res.status, res.optimum, res.nodes_explored) == ("optimal", optimum, nodes)
 
 
 def test_k4_err_old_infeasible():
