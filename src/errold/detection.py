@@ -186,25 +186,24 @@ def exists_err_old(g: Graph) -> ExistenceResult:
     difference at least 3.
 
     The opposite pairs of 4-cycles are exactly the pairs with at least two
-    common neighbours, so only those pairs are tested.  The failure witness
-    is the least canonical 4-cycle (as in Graph.four_cycles) through a
-    failing opposite pair, reported with its pair (a, c) if that fails, else
-    (b, d)."""
+    common neighbours, all at distance <= 2, so only those pairs are tested.
+    The failure witness is the least canonical 4-cycle (as in
+    Graph.four_cycles) through a failing opposite pair, reported with its
+    pair (a, c) if that fails, else (b, d)."""
     for v in range(g.n):
         if g.degree(v) < 3:
             return ExistenceResult(False, low_degree_vertex=v)
     adj = g.adj
     cycle = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = adj[u] & adj[v]
-            if common & (common - 1) and (adj[u] ^ adj[v]).bit_count() < 3:
-                # the least cycle with opposite pair {u, v} uses the two
-                # least common neighbours x < y
-                x, y = bits_to_list(common)[:2]
-                c = (x, u, y, v) if x < u else (u, x, v, y)
-                if cycle is None or c < cycle:
-                    cycle = c
+    for u, v in g.pairs_within_distance_two():
+        common = adj[u] & adj[v]
+        if common & (common - 1) and (adj[u] ^ adj[v]).bit_count() < 3:
+            # the least cycle with opposite pair {u, v} uses the two least
+            # common neighbours x < y
+            x, y = bits_to_list(common)[:2]
+            c = (x, u, y, v) if x < u else (u, x, v, y)
+            if cycle is None or c < cycle:
+                cycle = c
     if cycle is None:
         return ExistenceResult(True)
     a, b, c, d = cycle

@@ -2,21 +2,23 @@
 for graphs supporting error-correcting detector sets, and the quasi-cubic
 expansion construction.
 
-Canonicalisation is the minimum edge-set encoding over all vertex
-permutations, computed by prefix-pruned backtracking (exact, adequate for
-the supported range n <= 10).  Labeled enumeration walks the edge slots in
-lexicographic order with degree-deficit pruning, so degree-constrained
-families (minimum degree 3, cubic, quasi-cubic) come out far faster than
-blind subset iteration."""
+Canonicalisation is the minimum encoding, over all vertex permutations, of
+the adjacency bits in column-major pair order, computed by prefix-pruned
+backtracking (exact, adequate for the supported range n <= 10).
+
+Enumeration is orderly generation (R. C. Read, "Every one a winner", 1978;
+B. D. McKay, "Isomorph-free exhaustive generation", 1998): each class comes
+out once, as its canonical representative, with no deduplication.
+`labeled_graphs`, the edge-slot enumeration of labeled graphs, is kept as
+the test oracle."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, ResourceLimit
+from .graph import Graph, GraphError, ResourceLimit, bits_to_list, mask_of
 from .detection import exists_err_old
-from .parallel import run_tasks, split_depth
+from .parallel import run_tasks
 
 MAX_CANONICAL_N = 10
 
@@ -131,16 +133,14 @@ class CanonicalGraph:
         return f"{self.graph.n} {self.graph.m} {self.hex}"
 
 
-# -- labeled enumeration -------------------------------------------------------
+# -- enumeration ----------------------------------------------------------------
 
 
-def labeled_graphs(n: int, m: int, min_degree: int = 0,
-                   prefix: tuple[int, ...] = ()):
+def labeled_graphs(n: int, m: int, min_degree: int = 0):
     """Yield the edge sets (as tuples of vertex pairs) of every labeled graph
-    on n vertices with exactly m edges and minimum degree >= min_degree.
+    on n vertices with exactly m edges and minimum degree >= min_degree, edge
+    slot by edge slot in column-major order; the oracle for enumerate_graphs.
 
-    `prefix` fixes the include/exclude decision for the first len(prefix)
-    edge slots, which lets callers partition the search across workers.
     The handshake identity caps the maximum degree at 2m - min_degree*(n-1)
     whenever that bites."""
     pairs = _pair_list(n)
@@ -187,21 +187,15 @@ def labeled_graphs(n: int, m: int, min_degree: int = 0,
         if idx == total or not feasible(idx, count):
             return
         u, v = pairs[idx]
-        branches = (True, False) if idx >= len(prefix) else \
-            ((True,) if prefix[idx] else (False,))
-        for take in branches:
-            if take:
-                if deg[u] >= max_degree or deg[v] >= max_degree:
-                    continue
-                deg[u] += 1
-                deg[v] += 1
-                chosen.append((u, v))
-                yield from rec(idx + 1, count + 1)
-                chosen.pop()
-                deg[u] -= 1
-                deg[v] -= 1
-            else:
-                yield from rec(idx + 1, count)
+        if deg[u] < max_degree and deg[v] < max_degree:
+            deg[u] += 1
+            deg[v] += 1
+            chosen.append((u, v))
+            yield from rec(idx + 1, count + 1)
+            chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+        yield from rec(idx + 1, count)
 
     yield from rec(0, 0)
 
@@ -210,36 +204,85 @@ def enumerate_graphs(n: int, edge_count: int | None = None,
                      predicate=None, min_degree: int = 0,
                      jobs: int = 1) -> list[CanonicalGraph]:
     """All pairwise non-isomorphic graphs on n vertices (optionally with a
-    fixed edge count) whose labeled instances satisfy the predicate.
+    fixed edge count) with minimum degree >= min_degree that satisfy the
+    predicate, each as its canonical representative.
 
-    The predicate must be isomorphism-invariant; it is applied to labeled
-    graphs before canonical deduplication.  Results are sorted by canonical
-    encoding."""
+    Every canonical graph on k + 1 vertices extends a canonical graph on k
+    vertices by the adjacency column of vertex k (see _children), so each
+    class comes out exactly once.  The predicate runs once per class, on
+    the canonical representative, and must be isomorphism-invariant.
+    Levels are grown breadth-first until one holds at least 4 * jobs graphs;
+    each of those is then completed depth-first, in a worker process when
+    jobs > 1.  Results are sorted by canonical encoding."""
     if n > MAX_CANONICAL_N:
         raise ResourceLimit(f"enumeration supported for n <= {MAX_CANONICAL_N}, got {n}")
-    ms = range(n * (n - 1) // 2 + 1) if edge_count is None else [edge_count]
-    tasks = [(n, m, predicate, min_degree, prefix)
-             for m in ms
-             for prefix in itertools.product((1, 0), repeat=split_depth(jobs, 4))]
-    found: dict[tuple[int, ...], CanonicalGraph] = {}
-    for chunk in run_tasks(_enum_chunk, tasks, jobs):
-        for enc, cg in chunk.items():
-            found.setdefault(enc, cg)
-    return [found[k] for k in sorted(found)]
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    bounds = (0, n * (n - 1) // 2) if edge_count is None else (edge_count, edge_count)
+    # the empty graph has no edges and, as in Graph.degree_summary, minimum
+    # degree 0; for n > 0, _children applies both bounds
+    level = [CanonicalGraph(Graph(0), ())] \
+        if n > 0 or (bounds[0] <= 0 <= bounds[1] and min_degree <= 0) else []
+    while level and level[0].graph.n < n and len(level) < 4 * jobs:
+        level = [child for parent in level
+                 for child in _children(parent, n, bounds, min_degree)]
+    tasks = [(parent, n, bounds, min_degree, predicate) for parent in level]
+    found = [cg for chunk in run_tasks(_complete, tasks, jobs) for cg in chunk]
+    return sorted(found, key=lambda cg: cg.encoding)
 
 
-def _enum_chunk(args) -> dict[tuple[int, ...], CanonicalGraph]:
-    """The classes among the labeled graphs below one edge-slot prefix."""
-    n, m, predicate, min_degree, prefix = args
-    out = {}
-    for edges in labeled_graphs(n, m, min_degree, prefix=prefix):
-        g = Graph(n, edges)
-        if predicate is not None and not predicate(g):
-            continue
-        enc = canonical_encoding(g)
-        if enc not in out:
-            out[enc] = CanonicalGraph(graph_from_encoding(n, enc), enc)
-    return out
+def _complete(task) -> list[CanonicalGraph]:
+    """The classes on n vertices that grow from one canonical graph and pass
+    the predicate, found depth-first with one level of recursion per vertex
+    still to add."""
+    parent, n, bounds, min_degree, predicate = task
+    if parent.graph.n == n:
+        return [parent] if predicate is None or predicate(parent.graph) else []
+    return [cg for child in _children(parent, n, bounds, min_degree)
+            for cg in _complete((child, n, bounds, min_degree, predicate))]
+
+
+def _children(parent: CanonicalGraph, n: int, bounds: tuple[int, int],
+              min_degree: int):
+    """The canonical graphs that add vertex k = parent.graph.n to the
+    canonical graph `parent` and can still grow into a graph on n vertices
+    with an edge count within `bounds` and minimum degree >= min_degree.
+
+    The encoding is prefix-closed: relabelling the first k vertices of a
+    graph changes only the first k(k-1)/2 bits of its code, so the code of a
+    canonical graph starts with the code of the canonical graph on its first
+    k labels.  A child is kept iff its code (the parent's code followed by
+    the new column) is its canonical encoding."""
+    g = parent.graph
+    k = g.n
+    lo, hi = bounds
+    edges = g.sorted_edges()
+    rest = n - 1 - k                           # vertices still to come after k
+    later = (n * (n - 1) - (k + 1) * k) // 2   # pairs still open after column k
+    degs = g.degrees()
+    # vertices the later ones alone cannot lift to min_degree must join k;
+    # `short` vertices are still below min_degree
+    must = mask_of(v for v, d in enumerate(degs) if d + rest < min_degree)
+    short = mask_of(v for v, d in enumerate(degs) if d < min_degree)
+    deficit = sum(max(0, min_degree - d) for d in degs) + rest * min_degree
+    free = (1 << k) - 1 & ~must
+    sub = free
+    while True:
+        column = must | sub
+        c = column.bit_count()
+        m = len(edges) + c
+        # each edge still to come adds 2 to the degree sum, which must cover
+        # what the vertices are still missing
+        missing = deficit - (column & short).bit_count() + max(0, min_degree - c)
+        if lo <= m + later and m <= hi and c + rest >= min_degree \
+                and 2 * (hi - m) >= missing:
+            child = Graph(k + 1, edges + [(i, k) for i in bits_to_list(column)])
+            code = parent.encoding + tuple(column >> i & 1 for i in range(k))
+            if canonical_encoding(child) == code:
+                yield CanonicalGraph(child, code)
+        if not sub:
+            return
+        sub = sub - 1 & free
 
 
 def smallest_supporting_edge_count(n: int, jobs: int = 1) -> tuple[int, list[CanonicalGraph]]:

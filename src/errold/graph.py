@@ -146,14 +146,18 @@ class Graph:
         return out
 
     def pairs_within_distance_two(self) -> list[tuple[int, int]]:
-        """All unordered pairs u < v at graph distance 1 or 2 (cached)."""
+        """All unordered pairs u < v at graph distance 1 or 2, in
+        lexicographic order (cached).  Each u walks its neighbours and their
+        neighbours, so the loop runs over the pairs found, not over all
+        n(n-1)/2 pairs."""
         if self._dist2_pairs is None:
+            adj = self.adj
             pairs = []
-            for u in range(self.n):
-                au = self.adj[u]
-                for v in range(u + 1, self.n):
-                    if (au >> v & 1) or (au & self.adj[v]):
-                        pairs.append((u, v))
+            for u, au in enumerate(adj):
+                reach = au
+                for w in bits_to_list(au):
+                    reach |= adj[w]
+                pairs += [(u, v) for v in bits_to_list(reach >> (u + 1) << (u + 1))]
             self._dist2_pairs = pairs
         return self._dist2_pairs
 

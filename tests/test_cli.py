@@ -174,6 +174,49 @@ def test_solve_and_decide(capsys, files):
     assert code == 1 and rep["result"] == "infeasible"
 
 
+def test_decide_answers_like_minimisation(capsys, tmp_path):
+    # decide runs the first-hit decision; its answer must be optimum <= k
+    import random
+    from errold.detection import kind_from_flag
+    from errold.families import random_graph
+    from errold.solver import minimum_detector_set
+    rng = random.Random(31)
+    graph = tmp_path / "g.el"
+    outcomes = set()
+    for _ in range(12):
+        g = random_graph(rng.randint(4, 12), rng.uniform(0.3, 0.8), rng)
+        graph.write_text(serialize_edge_list(g))
+        for flag in ("old", "redold", "detold", "err"):
+            res = minimum_detector_set(g, kind_from_flag(flag))
+            for k in range(g.n + 1):
+                code, out = run(capsys, "decide", "--graph", graph,
+                                "--kind", flag, "--k", k)
+                rep = report_dict(out)
+                expect = res.status == "optimal" and res.optimum <= k
+                assert rep["answer"] == str(expect).lower()
+                assert code == (0 if expect else 1)
+                assert rep["status"] == ("ok" if expect else "fail")
+                assert rep["k"] == str(k) and "optimum" not in rep
+                assert ("result" in rep) == (res.status == "infeasible")
+                outcomes.add((res.status, expect))
+    assert outcomes == {("optimal", True), ("optimal", False), ("infeasible", False)}
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_memory_and_recursion_errors_exit_two(capsys, files, monkeypatch, error):
+    import errold.cli
+
+    def fail(g):
+        raise error("simulated")
+
+    monkeypatch.setattr(errold.cli, "exists_err_old", fail)
+    code, out = run(capsys, "exists", "--graph", files["petersen"])
+    rep = report_dict(out)
+    assert code == 2 and rep["command"] == "exists" and rep["status"] == "error"
+    assert rep["error"] == "simulated"
+    assert "Traceback" not in out + capsys.readouterr().err
+
+
 def test_exists(capsys, files):
     code, out = run(capsys, "exists", "--graph", files["petersen"])
     assert code == 0 and report_dict(out)["exists"] == "true"

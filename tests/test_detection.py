@@ -210,6 +210,59 @@ def test_exists_matches_four_cycle_oracle():
     assert failing_cycles > 200
 
 
+def all_pairs_within_distance_two(g):
+    """Oracle: every pair u < v, kept if adjacent or with a common neighbour."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if g.has_edge(u, v) or g.adj[u] & g.adj[v]]
+
+
+def exists_by_all_pairs(g):
+    """Oracle: the existence test scanning every pair for a failing
+    opposite pair and keeping the least 4-cycle through one."""
+    for v in range(g.n):
+        if g.degree(v) < 3:
+            return ExistenceResult(False, low_degree_vertex=v)
+    adj = g.adj
+    cycle = None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            common = [w for w in range(g.n) if (adj[u] & adj[v]) >> w & 1]
+            if len(common) >= 2 and (adj[u] ^ adj[v]).bit_count() < 3:
+                x, y = common[:2]
+                c = (x, u, y, v) if x < u else (u, x, v, y)
+                cycle = c if cycle is None else min(cycle, c)
+    if cycle is None:
+        return ExistenceResult(True)
+    a, b, c, d = cycle
+    u, v = (a, c) if (adj[a] ^ adj[c]).bit_count() < 3 else (b, d)
+    return ExistenceResult(False, cycle=cycle, pair=(u, v),
+                           value=(adj[u] ^ adj[v]).bit_count())
+
+
+def test_neighbour_walk_matches_all_pairs_scan():
+    # dense graphs, and sparse graphs with and without padding to minimum
+    # degree 3, n <= 40
+    rng = random.Random(9)
+    outcomes = {"exists": 0, "cycle": 0, "low": 0}
+    for i in range(300):
+        n = rng.randint(4, 40)
+        if i % 3 == 0:
+            g = random_graph(n, rng.uniform(0.4, 0.95), rng)
+        else:
+            edges = set(random_graph(n, rng.uniform(0.0, 0.1), rng).edges)
+            for v in range(n if i % 3 == 1 else 0):
+                while sum(v in e for e in edges) < 3:
+                    w = rng.choice([w for w in range(n) if w != v])
+                    edges.add((min(v, w), max(v, w)))
+            g = Graph(n, edges)
+        assert g.pairs_within_distance_two() == all_pairs_within_distance_two(g)
+        expected = exists_by_all_pairs(g)
+        assert exists_err_old(g) == expected
+        outcomes["exists" if expected.exists else
+                 "cycle" if expected.cycle else "low"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_twins_forbid_existence():
     rng = random.Random(7)
     found = 0

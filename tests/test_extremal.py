@@ -8,7 +8,7 @@ from errold.detection import exists_err_old, verify, ERR_OLD
 from errold.extremal import (canonical_encoding, encoding_hex, graph_from_encoding,
                              CanonicalGraph, labeled_graphs, enumerate_graphs,
                              smallest_supporting_edge_count, quasi_cubic_expand,
-                             valid_expansion_pairs, ResourceLimit)
+                             supports_err_old, valid_expansion_pairs, ResourceLimit)
 from errold.families import (petersen_graph, heawood_graph, complete_graph,
                              complete_bipartite, random_graph)
 
@@ -110,6 +110,79 @@ def test_labeled_cubic_count_n6():
     assert sum(1 for _ in labeled_graphs(6, 9, min_degree=3)) == 70
 
 
+def labeled_classes(n, edge_counts, min_degree=0):
+    """Oracle: the canonical codes of all labeled graphs, as a sorted set.
+
+    Only the first labeled graph met in each class is canonicalised; the
+    edge sets of all its relabelings are recorded, so the rest of the class
+    is recognised without another canonical_encoding call."""
+    def slot(u, v):
+        # bit of the pair in the column-major encoding order
+        u, v = min(u, v), max(u, v)
+        return 1 << (v * (v - 1) // 2 + u)
+
+    relabel = [{(u, v): slot(p[u], p[v]) for u in range(n) for v in range(u + 1, n)}
+               for p in itertools.permutations(range(n))]
+    seen = set()
+    found = set()
+    for m in edge_counts:
+        for edges in labeled_graphs(n, m, min_degree):
+            if sum(slot(u, v) for u, v in edges) in seen:
+                continue
+            found.add(canonical_encoding(Graph(n, edges)))
+            seen.update(sum(r[e] for e in edges) for r in relabel)
+    return sorted(found)
+
+
+def test_orderly_generation_matches_labeled_oracle():
+    for n in range(7):
+        for d in range(4):
+            found = enumerate_graphs(n, min_degree=d)
+            assert all(cg.graph == graph_from_encoding(n, cg.encoding) for cg in found)
+            got = [cg.encoding for cg in found]
+            assert got == labeled_classes(n, range(n * (n - 1) // 2 + 1), d), (n, d)
+    for m in range(9, 15):
+        got = [cg.encoding for cg in enumerate_graphs(7, m, min_degree=3)]
+        assert got == labeled_classes(7, [m], 3), m
+
+
+def test_canonical_encoding_is_prefix_closed():
+    # the first k(k-1)/2 bits of a canonical code are the canonical code of
+    # the graph induced on canonical labels 0..k-1
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        code = canonical_encoding(random_graph(n, rng.uniform(0.1, 0.9), rng))
+        for k in range(n + 1):
+            prefix = code[:k * (k - 1) // 2]
+            assert canonical_encoding(graph_from_encoding(k, prefix)) == prefix
+
+
+def test_predicate_runs_once_per_class():
+    seen = []
+
+    def count(g):
+        seen.append(canonical_encoding(g))
+        return g.m % 2 == 0
+
+    found = enumerate_graphs(6, predicate=count, min_degree=2)
+    classes = labeled_classes(6, range(16), 2)
+    assert sorted(seen) == classes
+    assert [cg.encoding for cg in found] == [c for c in classes if sum(c) % 2 == 0]
+    seen.clear()
+    # 4 classes among 5,670 labeled graphs; 11 edges, so none passes
+    assert enumerate_graphs(7, 11, predicate=count, min_degree=3) == []
+    assert len(seen) == 4
+
+
+def test_parallel_generation_matches_serial():
+    for args, kwargs in (((7, 12), {"predicate": supports_err_old, "min_degree": 3}),
+                         ((8, 12), {"min_degree": 3})):
+        serial = enumerate_graphs(*args, **kwargs)
+        parallel = enumerate_graphs(*args, **kwargs, jobs=2)
+        assert serial and parallel == serial
+
+
 def test_enumerate_cubic_classes():
     assert len(enumerate_graphs(4, 6, min_degree=3)) == 1          # K4
     assert len(enumerate_graphs(6, 9, min_degree=3)) == 2          # K33, prism
@@ -167,7 +240,6 @@ def test_no_quasi_cubic_witness_at_n9():
     assert hits == []
 
 
-@pytest.mark.slow
 def test_smallest_supporting_edge_count_n8():
     # regression anchor: value computed by this exhaustive enumeration
     m, graphs = smallest_supporting_edge_count(8)
