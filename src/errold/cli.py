@@ -393,12 +393,19 @@ def main(argv=None) -> int:
         print("status: error")
         return 2
     except SearchBudgetExceeded as exc:
+        # SearchInterrupted too: the serial search turns Ctrl-C into one
         print(f"command: {args.cmd}")
         print(f"error: {exc}")
         print(f"nodes-explored: {exc.nodes_explored}")
         if exc.best_size is not None:
             print(f"best-size: {exc.best_size}")
             print("best-set: " + " ".join(str(v) for v in sorted(exc.best_set)))
+        print("status: error")
+        return 2
+    except KeyboardInterrupt:
+        # Ctrl-C outside the serial search, e.g. while --jobs workers run
+        print(f"command: {args.cmd}")
+        print("error: interrupted")
         print("status: error")
         return 2
 

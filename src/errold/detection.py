@@ -114,35 +114,41 @@ def verify(g: Graph, detectors, kind: DetectionKind,
     return Verdict(True) if failure is None else Verdict(False, *failure)
 
 
-def first_failure(g: Graph, smask: int, kind: DetectionKind, pairs=None):
-    """The first requirement the detector mask `smask` fails, as
-    (vertex, None, value) or (None, pair, value), or None if it meets all.
+def requirements(g: Graph, kind: DetectionKind, pairs=None):
+    """Every requirement of `kind` on g, lazily and in verification order, as
+    (vertex, pair, masks, need): the detectors in at least one of `masks`
+    must number `need` or more.
 
-    Vertices are scanned in increasing order, then `pairs` in order, so the
-    witness is deterministic.  `pairs` defaults to the pairs at distance
-    <= 2: once domination has passed, a pair at distance >= 3 has disjoint
-    dominator sets whose difference is already dom(u) + dom(v) >= 2d >= t
-    for every supported kind."""
+    Vertex v needs min_domination detectors in N(v).  A pair (u, v) needs
+    distinguish_threshold detectors in N(u) symdiff N(v) when the kind is
+    symmetric, and that many in N(u) - N(v) or in N(v) - N(u) when it is
+    one-sided.  Vertices come first in increasing order, then `pairs` in
+    order; `pairs` defaults to the pairs at distance <= 2: once domination
+    holds, a pair at distance >= 3 has disjoint dominator sets whose
+    difference is already dom(u) + dom(v) >= 2d >= t for every supported
+    kind."""
     adj = g.adj
     d, t = kind.min_domination, kind.distinguish_threshold
     for v in range(g.n):
-        got = (adj[v] & smask).bit_count()
-        if got < d:
-            return v, None, got
+        yield v, None, (adj[v],), d
     if pairs is None:
         pairs = g.pairs_within_distance_two()
-    if kind.mode == SYMMETRIC:
-        for u, v in pairs:
-            got = ((adj[u] ^ adj[v]) & smask).bit_count()
-            if got < t:
-                return None, (u, v), got
-    else:
-        for u, v in pairs:
-            du = adj[u] & smask
-            dv = adj[v] & smask
-            got = max((du & ~dv).bit_count(), (dv & ~du).bit_count())
-            if got < t:
-                return None, (u, v), got
+    one_sided = kind.mode == ONE_SIDED
+    for u, v in pairs:
+        a, b = adj[u], adj[v]
+        yield None, (u, v), (a & ~b, b & ~a) if one_sided else (a ^ b,), t
+
+
+def first_failure(g: Graph, smask: int, kind: DetectionKind, pairs=None):
+    """The first requirement (see requirements) the detector mask `smask`
+    fails, as (vertex, None, value) or (None, pair, value), or None if it
+    meets all.  The value is the most detectors any of its masks holds."""
+    for vertex, pair, masks, need in requirements(g, kind, pairs):
+        got = 0
+        for mask in masks:
+            got = max(got, (mask & smask).bit_count())
+        if got < need:
+            return vertex, pair, got
     return None
 
 
@@ -222,7 +228,11 @@ def forced_detectors(g: Graph) -> set[int]:
 def forced_detectors_for_kind(g: Graph, kind: DetectionKind) -> set[int]:
     """Degree-based forcing generalised to any kind: a vertex w with degree
     exactly d needs every neighbour as a dominator, so N(w) is forced.
-    (Vertices of degree < d make the instance infeasible outright.)"""
+    (Vertices of degree < d make the instance infeasible outright.)
+
+    This is the paper's rule.  The solver forces by tightness propagation
+    over all requirements instead, which at the root forces a superset of
+    these vertices; this function is the oracle the tests hold it to."""
     d = kind.min_domination
     degd = mask_of(v for v in range(g.n) if g.degree(v) == d)
     return {v for v in range(g.n) if g.adj[v] & degd}

@@ -24,7 +24,7 @@ def run_tasks(fn, tasks, jobs: int) -> list:
     """[fn(task) for task in tasks], in this process when jobs == 1 and in
     worker processes otherwise, where fn and the list tasks must pickle.  An
     exception raised by fn reaches the caller unchanged; a dead worker is a
-    ResourceLimit."""
+    ResourceLimit; an interrupt stops the workers and reaches the caller."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
@@ -38,5 +38,11 @@ def run_tasks(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, tasks))
     except concurrent.futures.BrokenExecutor as exc:
         raise ResourceLimit(f"a worker process died: {exc}") from None
+    except KeyboardInterrupt:
+        # a worker would run its queued tasks to the end before shutdown
+        # returned; the executor has no public way to stop them
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)

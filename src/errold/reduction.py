@@ -314,14 +314,17 @@ def validate_gadgets(inst: ReductionInstance) -> GadgetReport:
 # -- SAT oracle and round-trip equivalence --------------------------------------
 
 MAX_SAT_VARIABLES = 25
-MAX_FREE_VERTICES = 20
+
+
+def _check_sat_size(formula: CnfFormula) -> None:
+    if formula.num_variables > MAX_SAT_VARIABLES:
+        raise ResourceLimit(f"brute-force SAT supports up to {MAX_SAT_VARIABLES} variables")
 
 
 def sat_brute_force(formula: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
     """Exhaustive truth-table satisfiability check."""
     n = formula.num_variables
-    if n > MAX_SAT_VARIABLES:
-        raise ResourceLimit(f"brute-force SAT supports up to {MAX_SAT_VARIABLES} variables")
+    _check_sat_size(formula)
     for bits in range(1 << n):
         assignment = {v: bool(bits >> (v - 1) & 1) for v in range(1, n + 1)}
         if formula.satisfied_by(assignment):
@@ -363,16 +366,12 @@ def find_detector_set_within_budget(inst: ReductionInstance,
     """Budgeted decision on the compiled instance: the first ERR:OLD set of
     size <= K that the solver's branch-and-bound core finds, or None.
 
-    The core forces the neighbourhoods of degree-3 vertices, computed from
-    the graph itself (on an untampered instance these are exactly the
-    designated 21N + 7M vertices), starts with the size bound K + 1 and
-    stops at its first hit.  Any hit has size exactly K: each variable's
-    tension vertices need one of its literals."""
-    free = len(inst.free)
-    if free > MAX_FREE_VERTICES:
-        raise ResourceLimit(
-            f"round-trip search supports up to {MAX_FREE_VERTICES} free vertices,"
-            f" instance has {free}")
+    The core's propagation, computed from the graph itself, forces the
+    neighbourhoods of degree-3 vertices (on an untampered instance these are
+    exactly the designated 21N + 7M vertices) and, at every node, whatever
+    the tension and clause vertices leave no choice about; it starts with
+    the size bound K + 1 and stops at its first hit.  Any hit has size
+    exactly K: each variable's tension vertices need one of its literals."""
     return detector_set_within(inst.graph, ERR_OLD, inst.k, jobs=jobs)
 
 
@@ -389,7 +388,9 @@ class RoundTrip:
 
 
 def roundtrip_check(formula: CnfFormula, jobs: int = 1) -> RoundTrip:
-    """The decision runs first, so its size guard precedes the SAT oracle."""
+    """The SAT oracle's size limit is the only one, and it is checked before
+    the instance is built or searched."""
+    _check_sat_size(formula)
     inst = build_instance(formula)
     found = find_detector_set_within_budget(inst, jobs=jobs) is not None
     return RoundTrip(sat_brute_force(formula)[0], found, inst.k)

@@ -1,35 +1,48 @@
 """Exact minimum detector-set computation for any detection kind.
 
 Two strategies are offered: an exhaustive search that tries subsets in
-size-then-lexicographic order (the oracle), and a branch-and-bound search
-that fixes degree-forced detectors up front, branches on the remaining
-vertices in descending-degree order, and prunes partial assignments that can
-no longer dominate every vertex or distinguish every close pair even if all
-undecided vertices become detectors.  One iterative branch-and-bound core
-answers both the minimisation and the decision "is there a set of size
-<= k?", serially or split over worker processes.
+size-then-lexicographic order (the oracle), and a branch-and-bound search.
+One iterative branch-and-bound core answers both the minimisation and the
+decision "is there a set of size <= k?", serially or split over worker
+processes.
 
-Feasibility, pruning and acceptance are one scan, detection.first_failure.
-Dominator sets and their differences only grow when detectors are added, so
-a requirement that fails against (chosen | undecided) fails for every
-completion: a node is pruned iff that set fails, the graph is feasible iff
-S = V(G) passes, and at a leaf, where nothing is undecided, the same test
-has verified the chosen set."""
+The branch-and-bound search works on one list of requirements, compiled
+once per search from detection.requirements: at least `need` detectors in a
+vertex mask (N(v) for domination, N(u) symdiff N(v) for a symmetric pair),
+or, for a one-sided pair, at least `need` in N(u) - N(v) or in N(v) - N(u).
+A node is a pair of masks, the chosen and the undecided vertices; the rest
+are excluded.  Dominator sets only grow when detectors are added, so a
+requirement with fewer than `need` vertices in chosen | undecided fails for
+every completion.  At each node the search
+
+  * propagates: it prunes the node if a requirement fails that way, and
+    chooses every undecided vertex of a requirement that has exactly
+    `need` left (at the root this includes the paper's degree rule,
+    detection.forced_detectors_for_kind);
+  * bounds: |chosen| plus the deficits of unmet requirements with pairwise
+    disjoint undecided supports is a lower bound on every completion;
+  * branches on a vertex of the unmet requirement with the least slack
+    (undecided vertices beyond those it still needs), taking it before
+    skipping it.
+
+A node with no unmet requirement is a leaf, and its chosen set is valid.
+The root's propagation fails iff S = V(G) does, which the minimisation
+verifies up front."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, bits_to_list, mask_of
+from .graph import Graph, bits_to_list
 from .parallel import run_tasks, split_depth
-from .detection import (
-    DetectionKind, first_failure, verify, forced_detectors_for_kind,
-)
+from .detection import DetectionKind, requirements, verify
 
 
 class SearchBudgetExceeded(Exception):
     """Node budget ran out; carries the best bound found so far."""
+
+    reason = "node budget exhausted"
 
     def __init__(self, nodes_explored: int, best_size: int | None,
                  best_set: set[int] | None):
@@ -37,13 +50,19 @@ class SearchBudgetExceeded(Exception):
         self.best_size = best_size
         self.best_set = best_set
         super().__init__(
-            f"node budget exhausted after {nodes_explored} nodes"
+            f"{self.reason} after {nodes_explored} nodes"
             + (f"; best detector set so far has size {best_size}"
                if best_size is not None else "; no detector set found yet"))
 
     def __reduce__(self):
         # lets a worker's budget error reach the parent process
         return (type(self), (self.nodes_explored, self.best_size, self.best_set))
+
+
+class SearchInterrupted(SearchBudgetExceeded):
+    """The search was interrupted (Ctrl-C); carries the best bound so far."""
+
+    reason = "interrupted"
 
 
 @dataclass
@@ -61,7 +80,7 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     """Minimum-cardinality detector set of the given kind, or infeasible.
 
     Infeasibility is decided up front on S = V(G), which is conclusive by
-    monotonicity.  With jobs > 1 the branch-and-bound root is split across
+    monotonicity.  With jobs > 1 the branch-and-bound search is split across
     worker processes; the result is identical to the serial search except
     for the advisory nodes_explored counter.
     """
@@ -111,100 +130,209 @@ def _solve_exhaustive(g: Graph, kind: DetectionKind,
 # -- branch and bound ----------------------------------------------------------
 
 
-def _branch_order(g: Graph) -> list[int]:
-    # descending degree, ties by vertex id
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _compile(g: Graph, kind: DetectionKind):
+    """(reqs, root) for the search, or (None, None) if g admits no set.
+
+    reqs is (plain, either, touching): plain holds (mask, need); either
+    holds the one-sided pairs (a, b, need), each also relaxed into plain as
+    (a | b, need); touching[v] holds the (plain, either) whose masks hold v.
+    root is the propagated root (chosen, undecided).  Requirements the
+    root's forced detectors meet are met at every node and are left out."""
+    plain, either = [], []
+    for _, _, masks, need in requirements(g, kind):
+        if len(masks) == 2:
+            a, b = masks
+            either.append((a, b, need))
+            plain.append((a | b, need))
+        else:
+            plain.append((masks[0], need))
+    root = _propagate(plain, either, 0, g.full_mask())
+    if root is None:
+        return None, None
+    chosen = root[0]
+    plain = [(mask, need) for mask, need in plain
+             if (mask & chosen).bit_count() < need]
+    either = [(a, b, need) for a, b, need in either
+              if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need]
+    touching = [([], []) for _ in range(g.n)]
+    for req in plain:
+        for v in bits_to_list(req[0]):
+            touching[v][0].append(req)
+    for req in either:
+        for v in bits_to_list(req[0] | req[1]):
+            touching[v][1].append(req)
+    return (plain, either, touching), root
 
 
-def _domination_lower_bound(g: Graph, kind: DetectionKind,
-                            chosen: int, undecided: int) -> int:
-    """Cheap admissible bound: the worst per-vertex dominator deficit must
-    be covered by additional detectors."""
-    d = kind.min_domination
-    need = 0
-    for v in range(g.n):
-        have = (g.adj[v] & chosen).bit_count()
-        if d - have > need:
-            need = d - have
-    return chosen.bit_count() + need
+def _propagate(plain, either, chosen: int, undecided: int):
+    """(chosen, undecided) with every vertex the given requirements force
+    chosen, or None if one of them fails for every completion.
+
+    A one-sided pair with one side short is a plain requirement on the
+    other side.  Forcing leaves avail = chosen | undecided alone, so one
+    pass reaches the fixpoint, and only requirements that lose a vertex of
+    avail can change."""
+    avail = chosen | undecided
+    forced = 0
+    for mask, need in plain:
+        got = (mask & avail).bit_count()
+        if got <= need:
+            if got < need:
+                return None
+            forced |= mask
+    for a, b, need in either:
+        got_a, got_b = (a & avail).bit_count(), (b & avail).bit_count()
+        if got_a < need:
+            if got_b < need:
+                return None
+            if got_b == need:
+                forced |= b
+        elif got_b < need and got_a == need:
+            forced |= a
+    forced &= undecided
+    return chosen | forced, undecided & ~forced
+
+
+def _examine(reqs, chosen: int, undecided: int, skipped: int,
+             bound: int | None):
+    """Propagate, bound and branch at a node whose parent was examined.
+
+    `skipped` is the vertex the node skipped, or -1 if it took one: a take
+    leaves avail as the parent left it, and a skip changes only the
+    requirements touching the skipped vertex.  Returns None if the node is
+    pruned, else (chosen, undecided, v) after propagation, with v the least
+    undecided vertex of the unmet requirement of least slack (the first on
+    ties), or None at a leaf.  The packing bound takes unmet requirements
+    greedily in order."""
+    plain, either, touching = reqs
+    if skipped >= 0:
+        node = _propagate(*touching[skipped], chosen, undecided)
+        if node is None:
+            return None
+        chosen, undecided = node
+    size = chosen.bit_count()
+    if bound is not None and size >= bound:
+        return None
+    used = extra = 0
+    branch, least = 0, None
+    for mask, need in plain:
+        deficit = need - (mask & chosen).bit_count()
+        if deficit > 0:
+            free = mask & undecided
+            if not free & used:
+                used |= free
+                extra += deficit
+            slack = free.bit_count() - deficit
+            if least is None or slack < least:
+                branch, least = free, slack
+    for a, b, need in either:
+        if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need:
+            for mask in (a, b):
+                slack = (mask & (chosen | undecided)).bit_count() - need
+                if slack >= 0 and (least is None or slack < least):
+                    branch, least = mask & undecided, slack
+    if bound is not None and size + extra >= bound:
+        return None
+    if not branch:
+        return chosen, undecided, None
+    return chosen, undecided, (branch & -branch).bit_length() - 1
 
 
 def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
             first_hit: bool = False, budget: int | None = None,
             jobs: int = 1) -> tuple[int | None, int]:
-    """Fix the forced detectors and run the core from the root or, with
-    jobs > 1, on every subtree below the first few (at most 8) branch
-    vertices in worker processes, with the budget applying to each subtree.
+    """Run the core from the root or, with jobs > 1, on the subtrees below
+    the first split_depth(jobs, 2) levels of the serial tree in worker
+    processes, with the budget applying to each subtree.
 
-    The serial search replaces its best only on strict improvement, and
-    until its first hit what it prunes below a node depends on that node
-    alone.  So a minimisation reproduces the serial answer by taking the
-    smallest hit, earliest subtree first, and a decision by taking the first
-    subtree, in serial order, that has a hit."""
-    forced = mask_of(forced_detectors_for_kind(g, kind))
-    order = [v for v in _branch_order(g) if not (forced >> v & 1)]
-    depth = min(split_depth(jobs, 2), len(order))
-    tasks = []
-    for prefix in itertools.product((1, 0), repeat=depth):
-        chosen, undecided = forced, g.full_mask() & ~forced
-        for v, take in zip(order, prefix):
-            undecided &= ~(1 << v)
-            if take:
-                chosen |= 1 << v
-        tasks.append((g, kind, chosen, undecided, order[depth:], limit,
-                      first_hit, budget))
-    results = run_tasks(_subtree, tasks, jobs)
-    nodes = sum(n for _, n in results)
-    hits = [best for best, _ in results if best is not None]
+    The tree below a node depends on that node alone, and the bound prunes
+    no set smaller than itself, so the serial answer is the first hit in
+    preorder of least size (of any size below `limit` with `first_hit`).
+    The split takes it from the subtrees and shallower hits in preorder."""
+    reqs, root = _compile(g, kind)
+    if root is None:
+        return None, 1
+    listed, nodes = _frontier(reqs, (*root, -1), limit, split_depth(jobs, 2))
+    results = iter(run_tasks(
+        _subtree, [(reqs, node, limit, first_hit, budget)
+                   for hit, node in listed if node is not None], jobs))
+    hits = []
+    for hit, node in listed:
+        if node is not None:
+            hit, count = next(results)
+            nodes += count
+        if hit is not None:
+            hits.append(hit)
     if not hits:
         return None, nodes
     return (hits[0] if first_hit else min(hits, key=int.bit_count)), nodes
+
+
+def _frontier(reqs, node, limit: int | None, depth: int) -> tuple[list, int]:
+    """The serial tree below `node` expanded `depth` levels down, as
+    (listed, nodes expanded): listed holds, in preorder, (set, None) for
+    each leaf above that depth and (None, node) for each node at it."""
+    if depth == 0:
+        return [(None, node)], 0
+    step = _examine(reqs, *node, limit)
+    if step is None:
+        return [], 1
+    if step[2] is None:
+        return [(step[0], None)], 1
+    take, skip = _children(*step)
+    listed, nodes = _frontier(reqs, take, limit, depth - 1)
+    more, count = _frontier(reqs, skip, limit, depth - 1)
+    return listed + more, 1 + nodes + count
+
+
+def _children(chosen: int, undecided: int, v: int):
+    """The take and the skip child of a node that branches on v."""
+    bit = 1 << v
+    return (chosen | bit, undecided & ~bit, -1), (chosen, undecided & ~bit, v)
 
 
 def _subtree(task) -> tuple[int | None, int]:
     return _branch_and_bound(*task)
 
 
-def _branch_and_bound(g: Graph, kind: DetectionKind, chosen: int,
-                      undecided: int, order: list[int],
-                      limit: int | None = None, first_hit: bool = False,
+def _branch_and_bound(reqs, node, limit: int | None = None,
+                      first_hit: bool = False,
                       budget: int | None = None) -> tuple[int | None, int]:
-    """Depth-first search from the state (chosen, undecided), branching on
-    the vertices of `order`, which are exactly the undecided ones, in turn,
-    take before skip.
+    """Depth-first search below `node`, take before skip.
 
     Only sets smaller than `limit` (if given) are hits, and after a hit only
     strictly smaller sets are; with `first_hit` the search stops at its
-    first hit.  Returns (best set as a mask or None, nodes explored).  An
-    explicit stack keeps the depth free of the recursion limit; pushing the
-    skip branch below the take branch visits nodes in the same preorder as
-    a recursive search."""
+    first hit.  Returns (best set as a mask or None, nodes explored).  The
+    explicit stack of nodes, three ints each, keeps the depth free of the
+    recursion limit.  An interrupt becomes SearchInterrupted."""
     bound = limit
     best: int | None = None
     nodes = 0
-    stack = [(0, chosen, undecided)]
-    while stack:
-        idx, chosen, undecided = stack.pop()
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchBudgetExceeded(
-                nodes - 1, None if best is None else best.bit_count(),
-                None if best is None else set(bits_to_list(best)))
-        size = chosen.bit_count()
-        if bound is not None and size >= bound:
-            continue
-        if first_failure(g, chosen | undecided, kind) is not None:
-            continue
-        if bound is not None and \
-                _domination_lower_bound(g, kind, chosen, undecided) >= bound:
-            continue
-        if idx == len(order):
-            # nothing is undecided, so the test above verified `chosen`
-            best, bound = chosen, size
-            if first_hit:
-                break
-            continue
-        bit = 1 << order[idx]
-        stack.append((idx + 1, chosen, undecided & ~bit))
-        stack.append((idx + 1, chosen | bit, undecided & ~bit))
+    stack = [node]
+    try:
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchBudgetExceeded(nodes - 1, *_best(best))
+            step = _examine(reqs, *node, bound)
+            if step is None:
+                continue
+            if step[2] is None:
+                best = step[0]
+                bound = best.bit_count()
+                if first_hit:
+                    break
+                continue
+            take, skip = _children(*step)
+            stack.append(skip)
+            stack.append(take)
+    except KeyboardInterrupt:
+        raise SearchInterrupted(nodes, *_best(best)) from None
     return best, nodes
+
+
+def _best(best: int | None) -> tuple[int | None, set[int] | None]:
+    if best is None:
+        return None, None
+    return best.bit_count(), set(bits_to_list(best))

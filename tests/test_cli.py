@@ -99,9 +99,10 @@ def test_budget_exhaustion_under_jobs(capsys, tmp_path):
 
 
 def test_search_deeper_than_recursion_limit(capsys, tmp_path):
-    # C_n(1,2) is 4-regular, so OLD forces nothing and the take-first path
-    # runs through all n branch vertices; the budget stops it just past
-    # the depth where a recursive search would overflow
+    # C_n(1,2) is 4-regular, so OLD forces nothing at the root, and the
+    # take-first path chooses one vertex per level until nearly all n are
+    # chosen; the budget stops it just past the depth where a recursive
+    # search would overflow
     depth = sys.getrecursionlimit() + 50
     path = tmp_path / "circulant.el"
     path.write_text(serialize_edge_list(circulant_graph(depth + 50, (1, 2))))
@@ -110,6 +111,46 @@ def test_search_deeper_than_recursion_limit(capsys, tmp_path):
     rep = report_dict(out)
     assert code == 2 and rep["status"] == "error"
     assert rep["nodes-explored"] == str(depth) and "budget" in rep["error"]
+
+
+def test_interrupted_search_exits_two_with_its_best_set(capsys, tmp_path, monkeypatch):
+    # Ctrl-C arrives while the search examines its 100th node
+    import errold.solver
+    hw = tmp_path / "heawood.el"
+    hw.write_text(serialize_edge_list(heawood_graph()))
+    code, out = run(capsys, "solve", "--graph", hw, "--kind", "old", "--budget", 99)
+    budget = report_dict(out)
+    assert code == 2 and "best-set" in budget
+    examine, calls = errold.solver._examine, []
+
+    def interrupt_at_100(*args):
+        calls.append(None)
+        if len(calls) == 100:
+            raise KeyboardInterrupt
+        return examine(*args)
+
+    monkeypatch.setattr(errold.solver, "_examine", interrupt_at_100)
+    code, out = run(capsys, "solve", "--graph", hw, "--kind", "old")
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["error"].startswith("interrupted after 100 nodes")
+    assert rep["nodes-explored"] == "100"
+    assert (rep["best-size"], rep["best-set"]) == (budget["best-size"], budget["best-set"])
+    assert "Traceback" not in out + capsys.readouterr().err
+
+
+def test_interrupt_outside_the_serial_search_exits_two(capsys, files, monkeypatch):
+    import errold.cli
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(errold.cli, "minimum_detector_set", interrupt)
+    code, out = run(capsys, "solve", "--graph", files["petersen"], "--kind", "err",
+                    "--jobs", "2")
+    rep = report_dict(out)
+    assert code == 2 and rep["command"] == "solve" and rep["status"] == "error"
+    assert rep["error"] == "interrupted"
 
 
 @pytest.mark.parametrize("module", ["errold", "errold.cli"])
@@ -291,14 +332,24 @@ def test_roundtrip(capsys, files):
 
 
 def test_oversized_roundtrip_is_refused_before_sat(capsys, tmp_path, monkeypatch):
-    def no_sat(formula):
-        raise AssertionError("SAT oracle ran before the size guard")
-    monkeypatch.setattr("errold.reduction.sat_brute_force", no_sat)
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the size guard")
+    monkeypatch.setattr("errold.reduction.sat_brute_force", never)
+    monkeypatch.setattr("errold.reduction.build_instance", never)
+    monkeypatch.setattr("errold.reduction.detector_set_within", never)
     cnf = tmp_path / "big.cnf"
-    cnf.write_text("p cnf 6 2\n1 2 3 0\n-4 5 -6 0\n")   # 4N + M = 26 > 20
+    cnf.write_text("p cnf 26 1\n1 2 3 0\n")   # one variable above the SAT cap
     code, out = run(capsys, "roundtrip", "--cnf", cnf)
     rep = report_dict(out)
-    assert code == 2 and rep["status"] == "error" and "free vertices" in rep["error"]
+    assert code == 2 and rep["status"] == "error" and "25 variables" in rep["error"]
+
+
+def test_roundtrip_beyond_twenty_free_vertices(capsys, tmp_path):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 6 2\n1 2 3 0\n-4 5 -6 0\n")   # 4N + M = 26 free vertices
+    code, out = run(capsys, "roundtrip", "--cnf", cnf)
+    rep = report_dict(out)
+    assert code == 0 and rep["equivalent"] == "true" and rep["satisfiable"] == "true"
 
 
 def test_grid_commands(capsys, tmp_path):

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from errold.graph import Graph, ParseError
+from errold.graph import Graph, ParseError, mask_of
 from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
-                              ExistenceResult, dominators, domination_profile, distinguishing_value,
+                              ExistenceResult, Verdict, dominators, domination_profile, distinguishing_value,
                               verify, verify_red_old_by_removal, is_open_dominating,
                               exists_err_old, forced_detectors,
                               forced_detectors_for_kind, kind_from_flag,
@@ -122,6 +123,45 @@ def test_pruned_equals_naive_random_wide():
         s = {v for v in range(g.n) if rng.random() < 0.7}
         for kind in ALL_KINDS:
             assert verify(g, s, kind, "pruned").ok == verify(g, s, kind, "naive").ok
+
+
+def scan_first_failure(g, smask, kind, pairs=None):
+    """In-test copy of the requirement scan before requirements() existed:
+    vertices in order, then the pairs, each kind's test written out."""
+    adj = g.adj
+    d, t = kind.min_domination, kind.distinguish_threshold
+    for v in range(g.n):
+        got = (adj[v] & smask).bit_count()
+        if got < d:
+            return v, None, got
+    if pairs is None:
+        pairs = g.pairs_within_distance_two()
+    for u, v in pairs:
+        du, dv = adj[u] & smask, adj[v] & smask
+        if kind.mode == "symmetric":
+            got = (du ^ dv).bit_count()
+        else:
+            got = max((du & ~dv).bit_count(), (dv & ~du).bit_count())
+        if got < t:
+            return None, (u, v), got
+    return None
+
+
+def test_verdicts_match_the_written_out_scan():
+    rng = random.Random(19)
+    failures = set()
+    for _ in range(300):
+        g = random_graph(rng.randint(1, 14), rng.uniform(0.1, 0.9), rng)
+        s = {v for v in range(g.n) if rng.random() < rng.uniform(0.5, 1.0)}
+        for kind in ALL_KINDS:
+            for strategy in ("pruned", "naive"):
+                pairs = itertools.combinations(range(g.n), 2) \
+                    if strategy == "naive" else None
+                failure = scan_first_failure(g, mask_of(s), kind, pairs)
+                expect = Verdict(True) if failure is None else Verdict(False, *failure)
+                assert verify(g, s, kind, strategy) == expect
+                failures.add(None if failure is None else failure[0] is None)
+    assert failures == {None, True, False}
 
 
 # -- RED:OLD removal oracle -----------------------------------------------------------

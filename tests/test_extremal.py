@@ -231,7 +231,6 @@ def test_no_cubic_witness_at_n8():
     assert hits == []
 
 
-@pytest.mark.slow
 def test_no_quasi_cubic_witness_at_n9():
     # same check one order up: m = 14 on 9 vertices forces the quasi-cubic
     # degree sequence, and no C4-free example exists

@@ -238,8 +238,20 @@ def test_roundtrip_unsat():
     assert find_detector_set_within_budget(inst) is None
 
 
+def test_roundtrip_at_a_hundred_free_vertices():
+    # N = 12, M = 52: 716 vertices, 100 of them free, near the satisfiability
+    # threshold so that both answers occur
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(6):
+        check = roundtrip_check(random_formula(rng, 12, 52))
+        assert check
+        outcomes.add(check.satisfiable)
+    assert outcomes == {True, False}
+
+
 def test_roundtrip_size_cap():
-    f = random_formula(random.Random(1), 6, 1)
+    f = random_formula(random.Random(1), 26, 1)
     with pytest.raises(ResourceLimit):
         roundtrip_check(f)
 

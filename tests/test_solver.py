@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from errold.graph import Graph
+from errold.graph import Graph, bits_to_list, mask_of
 from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
-                              verify, forced_detectors)
+                              verify, forced_detectors, forced_detectors_for_kind)
 from errold.solver import (minimum_detector_set, decision, detector_set_within,
-                           SearchBudgetExceeded)
+                           SearchBudgetExceeded, _compile, _examine, _propagate,
+                           _children)
 from errold.families import (complete_graph, petersen_graph,
                              heawood_graph, random_graph)
 
@@ -42,10 +43,10 @@ def test_heawood_err_old_is_fourteen():
 
 
 @pytest.mark.parametrize("graph, kind, optimum, nodes", [
-    (heawood_graph, OLD, 8, 4155), (heawood_graph, RED_OLD, 12, 483),
-    (heawood_graph, DET_OLD, 12, 483), (heawood_graph, ERR_OLD, 14, 1),
-    (petersen_graph, OLD, 5, 265), (petersen_graph, RED_OLD, 8, 137),
-    (petersen_graph, DET_OLD, 9, 97), (petersen_graph, ERR_OLD, 10, 1),
+    (heawood_graph, OLD, 8, 589), (heawood_graph, RED_OLD, 12, 75),
+    (heawood_graph, DET_OLD, 12, 75), (heawood_graph, ERR_OLD, 14, 1),
+    (petersen_graph, OLD, 5, 37), (petersen_graph, RED_OLD, 8, 17),
+    (petersen_graph, DET_OLD, 9, 19), (petersen_graph, ERR_OLD, 10, 1),
 ])
 def test_serial_search_is_pinned(graph, kind, optimum, nodes):
     # the serial report prints both numbers; a change to the search that
@@ -153,7 +154,7 @@ def test_budget_exhaustion_carries_bound():
 
 def test_parallel_matches_serial():
     for g in (petersen_graph(), random_graph(11, 0.5, random.Random(17))):
-        for kind in (OLD, ERR_OLD):
+        for kind in ALL_KINDS:
             serial = minimum_detector_set(g, kind, jobs=1)
             parallel = minimum_detector_set(g, kind, jobs=2)
             assert (serial.status, serial.optimum) == (parallel.status, parallel.optimum)
@@ -178,3 +179,130 @@ def test_parallel_decision_matches_serial():
         for k in (res.optimum - 1, res.optimum, res.optimum + 2):
             assert detector_set_within(g, kind, k, jobs=2) == \
                 detector_set_within(g, kind, k)
+
+
+# -- the requirement-driven core against brute force ----------------------------
+
+
+def completions(g, kind, chosen, undecided):
+    """In-test oracle: every valid set S with chosen <= S <= chosen | undecided."""
+    free = bits_to_list(undecided)
+    out = []
+    for k in range(len(free) + 1):
+        for combo in itertools.combinations(free, k):
+            s = chosen | mask_of(combo)
+            if verify(g, s, kind, strategy="naive").ok:
+                out.append(s)
+    return out
+
+
+def random_walks(rng, count, max_n):
+    """(graph, kind, compiled requirements, node) for the nodes on random
+    root-to-leaf walks through the search tree, one walk per kind on each
+    of `count` random graphs with a feasible root."""
+    graphs = 0
+    while graphs < count:
+        g = random_graph(rng.randint(4, max_n), rng.uniform(0.3, 0.7), rng)
+        roots = [(kind, *_compile(g, kind)) for kind in ALL_KINDS]
+        if roots[0][2] is None:
+            continue
+        graphs += 1
+        for kind, reqs, root in roots:
+            node = None if root is None else (*root, -1)
+            while node is not None:
+                yield g, kind, reqs, node
+                step = _examine(reqs, *node, None)
+                if step is None or step[2] is None:
+                    break
+                node = rng.choice(_children(*step))
+
+
+def test_propagation_is_sound():
+    # on random partial nodes below search-tree nodes, a vertex propagation
+    # forces lies in every valid completion and a node it prunes has none
+    rng = random.Random(41)
+    pruned = forced = 0
+    for g, kind, reqs, (chosen, undecided, _) in random_walks(rng, 200, 8):
+        partial = chosen | rng.getrandbits(g.n) & undecided
+        for s in (chosen, partial):
+            rest = undecided & ~s & rng.getrandbits(g.n)
+            valid = completions(g, kind, s, rest)
+            full = _propagate(*reqs[:2], s, rest)
+            assert (full is None) == (not valid)
+            if full is None:
+                pruned += 1
+                continue
+            forced += full[0] != s
+            for detectors in valid:
+                assert detectors & full[0] == full[0]
+    assert pruned > 200 and forced > 150
+
+
+def test_examine_propagates_like_a_full_pass():
+    # a take child needs no propagation, and a skip child only that of the
+    # requirements touching the skipped vertex
+    rng = random.Random(46)
+    skips = 0
+    for g, kind, reqs, node in random_walks(rng, 300, 12):
+        step = _examine(reqs, *node, None)
+        full = _propagate(*reqs[:2], *node[:2])
+        assert (step is None) == (full is None)
+        assert step is None or step[:2] == full
+        skips += node[2] >= 0
+    assert skips > 500
+
+
+def test_root_propagation_covers_the_degree_rule():
+    rng = random.Random(42)
+    for _ in range(200):
+        g = random_graph(rng.randint(2, 12), rng.uniform(0.3, 0.9), rng)
+        for kind in ALL_KINDS:
+            _, root = _compile(g, kind)
+            if root is not None:
+                assert mask_of(forced_detectors_for_kind(g, kind)) & ~root[0] == 0
+
+
+def test_packing_bound_never_exceeds_the_optimum():
+    # a bound one above the least completion never prunes the node
+    rng = random.Random(43)
+    for g, kind, reqs, node in random_walks(rng, 150, 8):
+        valid = completions(g, kind, node[0], node[1])
+        if valid:
+            least = min(s.bit_count() for s in valid)
+            assert _examine(reqs, *node, least + 1) is not None
+
+
+def test_branch_and_bound_matches_exhaustive():
+    rng = random.Random(44)
+    outcomes = set()
+    for _ in range(300):
+        g = random_graph(rng.randint(1, 9), rng.uniform(0.3, 0.9), rng)
+        for kind in ALL_KINDS:
+            a = minimum_detector_set(g, kind, strategy="exhaustive")
+            b = minimum_detector_set(g, kind)
+            assert (a.status, a.optimum) == (b.status, b.optimum)
+            if b.status == "optimal":
+                assert verify(g, b.witness, kind, strategy="naive").ok
+            outcomes.add(b.status)
+    assert outcomes == {"optimal", "infeasible"}
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_split_at_any_depth_reproduces_the_serial_answer(monkeypatch, depth):
+    # the --jobs split run in this process, at depths --jobs alone would
+    # not reach on graphs this small
+    import errold.solver
+    rng = random.Random(45 + depth)
+    cases = [(random_graph(rng.randint(6, 12), rng.uniform(0.3, 0.7), rng), kind)
+             for _ in range(15) for kind in ALL_KINDS]
+    serial = [(minimum_detector_set(g, kind).witness,
+               [detector_set_within(g, kind, k) for k in range(g.n + 1)])
+              for g, kind in cases]
+    monkeypatch.setattr(errold.solver, "split_depth", lambda jobs, per_job: depth)
+    monkeypatch.setattr(errold.solver, "run_tasks",
+                        lambda fn, tasks, jobs: [fn(task) for task in tasks])
+    split = [(minimum_detector_set(g, kind, jobs=2).witness,
+              [detector_set_within(g, kind, k, jobs=2) for k in range(g.n + 1)])
+             for g, kind in cases]
+    assert split == serial
+    assert any(witness is not None for witness, _ in serial)
