@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Reports are stable line-oriented "key: value" text on stdout, one key per
-line, including a sha256 digest of every input file consumed.  Exit codes:
-0 = ok, 1 = valid input with a negative answer, 2 = bad input, resource
-limits, or unknown commands (argparse prints usage to stderr for the
-latter)."""
+line.  Each input file is read once, and the report carries a sha256 digest
+of exactly the bytes that were parsed.  Exit codes: 0 = ok, 1 = valid input
+with a negative answer, 2 = bad input, resource limits, interrupts, or
+unknown commands (argparse prints usage to stderr for the latter)."""
 
 from __future__ import annotations
 
@@ -13,12 +13,12 @@ import functools
 import hashlib
 import sys
 
-from .graph import Graph, ResourceLimit, load_edge_list, serialize_edge_list
+from .graph import ResourceLimit, parse_edge_list, serialize_edge_list
 from .detection import (kind_from_flag, verify, exists_err_old,
                         parse_detector_set)
 from .solver import (minimum_detector_set, detector_set_within,
                      SearchBudgetExceeded)
-from .extremal import enumerate_graphs, quasi_cubic_expand, supports_err_old
+from .extremal import enumerate_graphs, quasi_cubic_expand
 from . import reduction
 from . import grids
 
@@ -31,10 +31,12 @@ class Report:
     def add(self, key: str, value) -> None:
         self.lines.append((key, str(value)))
 
-    def digest(self, name: str, path: str) -> None:
+    def read(self, name: str, path: str) -> str:
+        """The file's text; its bytes, read once, are also digested."""
         with open(path, "rb") as fh:
-            h = hashlib.sha256(fh.read()).hexdigest()
-        self.add(f"digest-{name}", f"sha256:{h}")
+            data = fh.read()
+        self.add(f"digest-{name}", f"sha256:{hashlib.sha256(data).hexdigest()}")
+        return data.decode("utf-8")
 
     def section(self, text: str) -> None:
         self.tail.append(text)
@@ -46,29 +48,16 @@ class Report:
         for text in self.tail:
             print(text, end="" if text.endswith("\n") else "\n")
 
-
-def _load_graph(report: Report, path: str) -> Graph:
-    report.digest("graph", path)
-    return load_edge_list(path)
-
-
-def _load_cnf(report: Report, path: str) -> reduction.CnfFormula:
-    report.digest("cnf", path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return reduction.parse_dimacs_cnf(fh.read())
-
-
-def _load_pattern(report: Report, path: str) -> grids.PeriodicPattern:
-    report.digest("pattern", path)
-    return grids.load_pattern(path)
+    def finish(self, ok: bool) -> int:
+        """Emit with status ok or fail; the exit code is 0 or 1 to match."""
+        self.emit("ok" if ok else "fail")
+        return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
     report = Report("verify")
-    g = _load_graph(report, args.graph)
-    report.digest("set", args.set)
-    with open(args.set, "r", encoding="utf-8") as fh:
-        detectors = parse_detector_set(fh.read(), g)
+    g = parse_edge_list(report.read("graph", args.graph))
+    detectors = parse_detector_set(report.read("set", args.set), g)
     kind = kind_from_flag(args.kind)
     verdict = verify(g, detectors, kind)
     report.add("kind", kind)
@@ -80,13 +69,12 @@ def cmd_verify(args) -> int:
         else:
             report.add("witness-pair", f"{verdict.pair[0]} {verdict.pair[1]}")
             report.add("witness-value", verdict.value)
-    report.emit("ok" if verdict.ok else "fail")
-    return 0 if verdict.ok else 1
+    return report.finish(verdict.ok)
 
 
 def cmd_exists(args) -> int:
     report = Report("exists")
-    g = _load_graph(report, args.graph)
+    g = parse_edge_list(report.read("graph", args.graph))
     res = exists_err_old(g)
     report.add("exists", str(res.exists).lower())
     if not res.exists:
@@ -97,13 +85,12 @@ def cmd_exists(args) -> int:
             report.add("witness-cycle", " ".join(str(v) for v in res.cycle))
             report.add("witness-pair", f"{res.pair[0]} {res.pair[1]}")
             report.add("witness-value", res.value)
-    report.emit("ok" if res.exists else "fail")
-    return 0 if res.exists else 1
+    return report.finish(res.exists)
 
 
 def cmd_solve(args) -> int:
     report = Report("solve")
-    g = _load_graph(report, args.graph)
+    g = parse_edge_list(report.read("graph", args.graph))
     kind = kind_from_flag(args.kind)
     res = minimum_detector_set(g, kind, budget=args.budget, jobs=args.jobs)
     report.add("kind", kind)
@@ -112,13 +99,12 @@ def cmd_solve(args) -> int:
         report.add("optimum", res.optimum)
         report.add("witness", " ".join(str(v) for v in sorted(res.witness)))
     report.add("nodes-explored", res.nodes_explored)
-    report.emit("ok" if res.status == "optimal" else "fail")
-    return 0 if res.status == "optimal" else 1
+    return report.finish(res.status == "optimal")
 
 
 def cmd_decide(args) -> int:
     report = Report("decide")
-    g = _load_graph(report, args.graph)
+    g = parse_edge_list(report.read("graph", args.graph))
     kind = kind_from_flag(args.kind)
     feasible = verify(g, g.full_mask(), kind).ok
     answer = feasible and \
@@ -128,13 +114,12 @@ def cmd_decide(args) -> int:
     if not feasible:
         report.add("result", "infeasible")
     report.add("answer", str(answer).lower())
-    report.emit("ok" if answer else "fail")
-    return 0 if answer else 1
+    return report.finish(answer)
 
 
 def cmd_enumerate(args) -> int:
     report = Report("enumerate")
-    predicate = supports_err_old if args.predicate == "err" else None
+    predicate = exists_err_old if args.predicate == "err" else None
     found = enumerate_graphs(args.n, args.m, predicate=predicate,
                              min_degree=args.min_degree, jobs=args.jobs)
     report.add("n", args.n)
@@ -154,26 +139,24 @@ def cmd_enumerate(args) -> int:
                 with open(gpath, "w", encoding="utf-8") as gh:
                     gh.write(serialize_edge_list(cg.graph))
         report.add("out-dir", args.out)
-    report.emit("ok")
-    return 0
+    return report.finish(True)
 
 
 def cmd_expand(args) -> int:
     report = Report("expand")
-    g = _load_graph(report, args.graph)
+    g = parse_edge_list(report.read("graph", args.graph))
     expanded = quasi_cubic_expand(g, tuple(args.e1), tuple(args.e2))
     report.add("n", expanded.n)
     report.add("m", expanded.m)
     report.add("quasi-cubic", str(expanded.degree_summary()[3]).lower())
     report.add("exists-err-old", str(exists_err_old(expanded).exists).lower())
     report.section("## graph\n" + serialize_edge_list(expanded))
-    report.emit("ok")
-    return 0
+    return report.finish(True)
 
 
 def cmd_reduce(args) -> int:
     report = Report("reduce")
-    formula = _load_cnf(report, args.cnf)
+    formula = reduction.parse_dimacs_cnf(report.read("cnf", args.cnf))
     inst = reduction.build_instance(formula)
     report.add("variables", formula.num_variables)
     report.add("clauses", formula.num_clauses)
@@ -194,38 +177,35 @@ def cmd_reduce(args) -> int:
         report.section("## graph\n" + graph_text)
     if not args.out_manifest:
         report.section("## manifest\n" + manifest_text)
-    report.emit("ok")
-    return 0
+    return report.finish(True)
 
 
 def cmd_gadget_check(args) -> int:
     report = Report("gadget-check")
-    formula = _load_cnf(report, args.cnf)
+    formula = reduction.parse_dimacs_cnf(report.read("cnf", args.cnf))
     inst = reduction.build_instance(formula)
     check = reduction.validate_gadgets(inst)
     report.add("forced-count", len(inst.forced))
     report.add("pass", str(check.ok).lower())
     for i, defect in enumerate(check.defects, start=1):
         report.add(f"defect-{i}", defect)
-    report.emit("ok" if check.ok else "fail")
-    return 0 if check.ok else 1
+    return report.finish(check.ok)
 
 
 def cmd_roundtrip(args) -> int:
     report = Report("roundtrip")
-    formula = _load_cnf(report, args.cnf)
+    formula = reduction.parse_dimacs_cnf(report.read("cnf", args.cnf))
     check = reduction.roundtrip_check(formula, jobs=args.jobs)
     report.add("satisfiable", str(check.satisfiable).lower())
     report.add("detector-set-within-budget", str(check.found).lower())
     report.add("K", check.k)
     report.add("equivalent", str(bool(check)).lower())
-    report.emit("ok" if check else "fail")
-    return 0 if check else 1
+    return report.finish(bool(check))
 
 
 def cmd_grid_certify(args) -> int:
     report = Report("grid-certify")
-    pat = _load_pattern(report, args.pattern)
+    pat = grids.parse_pattern(report.read("pattern", args.pattern))
     cert = grids.certify_pattern(pat)
     report.add("grid", pat.kind.name)
     report.add("index", pat.index)
@@ -237,8 +217,7 @@ def cmd_grid_certify(args) -> int:
             report.add("failing-displacement",
                        f"{cert.failing_displacement[0]} {cert.failing_displacement[1]}")
         report.add("value", cert.value)
-    report.emit("ok" if cert.ok else "fail")
-    return 0 if cert.ok else 1
+    return report.finish(cert.ok)
 
 
 def cmd_grid_search(args) -> int:
@@ -249,37 +228,33 @@ def cmd_grid_search(args) -> int:
     report.add("max-index", args.max_index)
     if best is None:
         report.add("found", "false")
-        report.emit("fail")
-        return 1
+        return report.finish(False)
     report.add("found", "true")
     report.add("density", grids.pattern_density(best))
     report.add("index", best.index)
     report.section("## pattern\n" + grids.serialize_pattern(best))
-    report.emit("ok")
-    return 0
+    return report.finish(True)
 
 
 def cmd_grid_share(args) -> int:
     report = Report("grid-share")
-    pat = _load_pattern(report, args.pattern)
+    pat = grids.parse_pattern(report.read("pattern", args.pattern))
     report.add("grid", pat.kind.name)
     report.add("index", pat.index)
     report.add("density", grids.pattern_density(pat))
     shares = grids.detector_shares(pat)
     report.add("max-share", max(shares))
     report.add("share-sum", sum(shares))
-    report.emit("ok")
-    return 0
+    return report.finish(True)
 
 
 def cmd_render(args) -> int:
     report = Report("render")
-    pat = _load_pattern(report, args.pattern)
+    pat = grids.parse_pattern(report.read("pattern", args.pattern))
     report.add("grid", pat.kind.name)
     report.add("window", args.window)
     report.section("figure:\n" + grids.render_pattern(pat, args.window))
-    report.emit("ok")
-    return 0
+    return report.finish(True)
 
 
 def _positive_int(text: str) -> int:
@@ -302,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     def graph_flag(p):
         p.add_argument("--graph", required=True, help="edge-list file")
 
+    def kind_flag(p):
+        p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
+
     def jobs_flag(p):
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes, capped at the CPU count (default 1)")
@@ -309,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a detector set")
     graph_flag(p)
     p.add_argument("--set", required=True, help="detector-set file")
-    p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
+    kind_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exists", help="ERR:OLD existence test")
@@ -318,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="minimum detector set")
     graph_flag(p)
-    p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
+    kind_flag(p)
     p.add_argument("--budget", type=int, default=None, help="node limit")
     jobs_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("decide", help="is there a detector set of size <= k")
     graph_flag(p)
-    p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
+    kind_flag(p)
     p.add_argument("--k", type=int, required=True)
     jobs_flag(p)
     p.set_defaults(func=cmd_decide)
@@ -387,26 +365,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, ResourceLimit, MemoryError, RecursionError) as exc:
-        print(f"command: {args.cmd}")
-        print(f"error: {exc}")
-        print("status: error")
-        return 2
-    except SearchBudgetExceeded as exc:
-        # SearchInterrupted too: the serial search turns Ctrl-C into one
-        print(f"command: {args.cmd}")
-        print(f"error: {exc}")
-        print(f"nodes-explored: {exc.nodes_explored}")
-        if exc.best_size is not None:
-            print(f"best-size: {exc.best_size}")
-            print("best-set: " + " ".join(str(v) for v in sorted(exc.best_set)))
-        print("status: error")
-        return 2
-    except KeyboardInterrupt:
-        # Ctrl-C outside the serial search, e.g. while --jobs workers run
-        print(f"command: {args.cmd}")
-        print("error: interrupted")
-        print("status: error")
+    except (OSError, ValueError, ResourceLimit, MemoryError, RecursionError,
+            SearchBudgetExceeded, KeyboardInterrupt) as exc:
+        # a bare KeyboardInterrupt is Ctrl-C outside the serial search, e.g.
+        # while --jobs workers run; the serial search raises SearchInterrupted
+        report = Report(args.cmd)
+        report.add("error", "interrupted" if isinstance(exc, KeyboardInterrupt)
+                   else exc)
+        if isinstance(exc, SearchBudgetExceeded):
+            report.add("nodes-explored", exc.nodes_explored)
+            if exc.best_size is not None:
+                report.add("best-size", exc.best_size)
+                report.add("best-set", " ".join(str(v) for v in sorted(exc.best_set)))
+        report.emit("error")
         return 2
 
 

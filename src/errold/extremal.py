@@ -29,12 +29,6 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def supports_err_old(g: Graph) -> bool:
-    """Module-level predicate for enumeration filters (picklable, so it works
-    with jobs > 1)."""
-    return exists_err_old(g).exists
-
-
 def canonical_encoding(g: Graph) -> tuple[int, ...]:
     """Minimum adjacency encoding over all vertex permutations.
 
@@ -295,7 +289,7 @@ def smallest_supporting_edge_count(n: int, jobs: int = 1) -> tuple[int, list[Can
         raise ResourceLimit(f"supported for 7 <= n <= {MAX_CANONICAL_N}, got {n}")
     total = n * (n - 1) // 2
     for m in range((3 * n + 1) // 2, total + 1):
-        hits = enumerate_graphs(n, m, predicate=supports_err_old,
+        hits = enumerate_graphs(n, m, predicate=exists_err_old,
                                 min_degree=3, jobs=jobs)
         if hits:
             return m, hits

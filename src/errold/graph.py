@@ -82,7 +82,8 @@ class Graph:
         return bits_to_list(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self.adj[u] >> v & 1)
+        """True iff uv is an edge; False for any id outside 0..n-1."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def sorted_edges(self) -> list[Edge]:
         # row u from bit u up holds the neighbours v > u, in increasing order
@@ -250,8 +251,3 @@ def serialize_edge_list(g: Graph) -> str:
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
-
-
-def load_edge_list(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())

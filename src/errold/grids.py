@@ -424,11 +424,6 @@ def serialize_pattern(p: PeriodicPattern) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_pattern(path) -> PeriodicPattern:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pattern(fh.read())
-
-
 def render_pattern(p: PeriodicPattern, window: int) -> str:
     """Character grid for the square window [0,window) x [0,window); rows
     are printed top-down from y = window-1, detectors as '#'."""

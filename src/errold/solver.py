@@ -109,7 +109,7 @@ def detector_set_within(g: Graph, kind: DetectionKind, k: int,
     """The first detector set of size <= k in branch order, or None.
 
     The search stops at its first hit, so the set need not be minimum."""
-    best, _ = _search(g, kind, limit=k + 1, first_hit=True, jobs=jobs)
+    best, _ = _search(g, kind, limit=k + 1, jobs=jobs)
     return None if best is None else set(bits_to_list(best))
 
 
@@ -239,22 +239,21 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
 
 
 def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
-            first_hit: bool = False, budget: int | None = None,
-            jobs: int = 1) -> tuple[int | None, int]:
+            budget: int | None = None, jobs: int = 1) -> tuple[int | None, int]:
     """Run the core from the root or, with jobs > 1, on the subtrees below
     the first split_depth(jobs, 2) levels of the serial tree in worker
     processes, with the budget applying to each subtree.
 
     The tree below a node depends on that node alone, and the bound prunes
     no set smaller than itself, so the serial answer is the first hit in
-    preorder of least size (of any size below `limit` with `first_hit`).
+    preorder of least size (of any size below `limit` if one is given).
     The split takes it from the subtrees and shallower hits in preorder."""
     reqs, root = _compile(g, kind)
     if root is None:
         return None, 1
     listed, nodes = _frontier(reqs, (*root, -1), limit, split_depth(jobs, 2))
     results = iter(run_tasks(
-        _subtree, [(reqs, node, limit, first_hit, budget)
+        _subtree, [(reqs, node, limit, budget)
                    for hit, node in listed if node is not None], jobs))
     hits = []
     for hit, node in listed:
@@ -265,7 +264,7 @@ def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
             hits.append(hit)
     if not hits:
         return None, nodes
-    return (hits[0] if first_hit else min(hits, key=int.bit_count)), nodes
+    return (hits[0] if limit is not None else min(hits, key=int.bit_count)), nodes
 
 
 def _frontier(reqs, node, limit: int | None, depth: int) -> tuple[list, int]:
@@ -296,15 +295,15 @@ def _subtree(task) -> tuple[int | None, int]:
 
 
 def _branch_and_bound(reqs, node, limit: int | None = None,
-                      first_hit: bool = False,
                       budget: int | None = None) -> tuple[int | None, int]:
     """Depth-first search below `node`, take before skip.
 
-    Only sets smaller than `limit` (if given) are hits, and after a hit only
-    strictly smaller sets are; with `first_hit` the search stops at its
-    first hit.  Returns (best set as a mask or None, nodes explored).  The
-    explicit stack of nodes, three ints each, keeps the depth free of the
-    recursion limit.  An interrupt becomes SearchInterrupted."""
+    Without a `limit` this minimises: after a hit only strictly smaller sets
+    are hits.  With one it decides: only sets smaller than `limit` are hits,
+    and the search stops at its first hit.  Returns (best set as a mask or
+    None, nodes explored).  The explicit stack of nodes, three ints each,
+    keeps the depth free of the recursion limit.  An interrupt becomes
+    SearchInterrupted."""
     bound = limit
     best: int | None = None
     nodes = 0
@@ -321,7 +320,7 @@ def _branch_and_bound(reqs, node, limit: int | None = None,
             if step[2] is None:
                 best = step[0]
                 bound = best.bit_count()
-                if first_hit:
+                if limit is not None:
                     break
                 continue
             take, skip = _children(*step)

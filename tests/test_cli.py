@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import os
 import subprocess
 import sys
@@ -64,11 +66,56 @@ def test_verify_fail_witness(capsys, files):
         and rep["witness-value"] == "2"
 
 
-def test_missing_file_is_error(capsys, tmp_path):
-    code, out = run(capsys, "solve", "--graph", tmp_path / "missing.el",
-                    "--kind", "err")
+def test_each_input_is_read_once_and_digested(capsys, files, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out = run(capsys, "verify", "--graph", files["petersen"],
+                    "--set", files["all10"], "--kind", "err")
+    monkeypatch.undo()
+    rep = report_dict(out)
+    assert code == 0
+    for name, path in (("graph", files["petersen"]), ("set", files["all10"])):
+        assert opened.count(str(path)) == 1
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert rep[f"digest-{name}"] == f"sha256:{digest}"
+
+
+# every subcommand that reads a file: BAD marks the input under test, and
+# other words that name a `files` fixture entry stand for that file
+FILE_COMMANDS = {
+    "verify-graph": ["verify", "--graph", "BAD", "--set", "all10", "--kind", "err"],
+    "verify-set": ["verify", "--graph", "petersen", "--set", "BAD", "--kind", "err"],
+    "exists": ["exists", "--graph", "BAD"],
+    "solve": ["solve", "--graph", "BAD", "--kind", "err"],
+    "decide": ["decide", "--graph", "BAD", "--kind", "err", "--k", "3"],
+    "expand": ["expand", "--graph", "BAD", "--e1", "0", "1", "--e2", "2", "3"],
+    "reduce": ["reduce", "--cnf", "BAD"],
+    "gadget-check": ["gadget-check", "--cnf", "BAD"],
+    "roundtrip": ["roundtrip", "--cnf", "BAD"],
+    "grid-certify": ["grid-certify", "--pattern", "BAD"],
+    "grid-share": ["grid-share", "--pattern", "BAD"],
+    "render": ["render", "--pattern", "BAD", "--window", "4"],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing", "not-utf8"])
+@pytest.mark.parametrize("command", list(FILE_COMMANDS))
+def test_missing_file_is_error(capsys, files, tmp_path, command, bad):
+    path = tmp_path / "bad.input"
+    if bad == "not-utf8":
+        path.write_bytes(b"\xff\xfe0 1\n")
+    argv = [path if a == "BAD" else files.get(a, a) for a in FILE_COMMANDS[command]]
+    code, out = run(capsys, *argv)
     rep = report_dict(out)
     assert code == 2 and rep["status"] == "error"
+    assert rep["command"] == argv[0] and "error" in rep
+    assert "Traceback" not in out + capsys.readouterr().err
 
 
 def test_unknown_flag_exits_two(files):
@@ -306,6 +353,16 @@ def test_expand(capsys, tmp_path):
     code, out = run(capsys, "expand", "--graph", hw, "--e1", "0", "1",
                     "--e2", "1", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("e1", [("4", "0"), ("-1", "0"), ("0", "-3")], ids="_".join)
+def test_expand_rejects_vertex_ids_outside_the_graph(capsys, files, e1):
+    code, out = run(capsys, "expand", "--graph", files["k4"], "--e1", *e1,
+                    "--e2", "2", "3")
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["error"] == f"({e1[0]},{e1[1]}) is not an edge"
+    assert "Traceback" not in out + capsys.readouterr().err
 
 
 def test_reduce_and_gadget_check(capsys, files, tmp_path):

@@ -8,7 +8,7 @@ from errold.detection import exists_err_old, verify, ERR_OLD
 from errold.extremal import (canonical_encoding, encoding_hex, graph_from_encoding,
                              CanonicalGraph, labeled_graphs, enumerate_graphs,
                              smallest_supporting_edge_count, quasi_cubic_expand,
-                             supports_err_old, valid_expansion_pairs, ResourceLimit)
+                             valid_expansion_pairs, ResourceLimit)
 from errold.families import (petersen_graph, heawood_graph, complete_graph,
                              complete_bipartite, random_graph)
 
@@ -176,7 +176,7 @@ def test_predicate_runs_once_per_class():
 
 
 def test_parallel_generation_matches_serial():
-    for args, kwargs in (((7, 12), {"predicate": supports_err_old, "min_degree": 3}),
+    for args, kwargs in (((7, 12), {"predicate": exists_err_old, "min_degree": 3}),
                          ((8, 12), {"min_degree": 3})):
         serial = enumerate_graphs(*args, **kwargs)
         parallel = enumerate_graphs(*args, **kwargs, jobs=2)

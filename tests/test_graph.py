@@ -210,6 +210,13 @@ def test_pairs_within_distance_two_against_bfs():
 
 # -- edge predicates ---------------------------------------------------------------
 
+def test_has_edge_is_false_outside_the_vertex_range():
+    g = complete_graph(4)
+    assert g.has_edge(0, 3) and g.has_edge(3, 0) and not g.has_edge(2, 2)
+    for u, v in ((4, 0), (0, 4), (-1, 0), (0, -1), (0, -3), (4, 4)):
+        assert not g.has_edge(u, v)
+
+
 def test_edge_in_triangle():
     assert complete_graph(3).edge_in_triangle((0, 1))
     assert not cycle_graph(4).edge_in_triangle((0, 1))

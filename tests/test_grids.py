@@ -12,13 +12,13 @@ from errold.grids import (SQR, TRI, KNG, PeriodicPattern, PatternError,
                           hermite_bases, hermite_form, point_group,
                           requirement_masks, search_patterns, _search_basis,
                           torus_graph, parse_pattern, serialize_pattern,
-                          load_pattern, render_pattern)
+                          render_pattern)
 
 PATTERN_DIR = Path(__file__).resolve().parent.parent / "patterns"
 
 
 def saved_patterns():
-    return {name: load_pattern(PATTERN_DIR / f"{name}.pattern")
+    return {name: parse_pattern((PATTERN_DIR / f"{name}.pattern").read_text())
             for name in ("sqr_7_8", "tri_4_7", "kng_4_9")}
 
 
