@@ -107,8 +107,7 @@ def cmd_decide(args) -> int:
     g = parse_edge_list(report.read("graph", args.graph))
     kind = kind_from_flag(args.kind)
     feasible = verify(g, g.full_mask(), kind).ok
-    answer = feasible and \
-        detector_set_within(g, kind, args.k, jobs=args.jobs) is not None
+    answer = detector_set_within(g, kind, args.k, jobs=args.jobs) is not None
     report.add("kind", kind)
     report.add("k", args.k)
     if not feasible:

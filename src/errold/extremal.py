@@ -14,11 +14,12 @@ the test oracle."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, ResourceLimit, bits_to_list, mask_of
 from .detection import exists_err_old
-from .parallel import run_tasks
+from .parallel import run_tree
 
 MAX_CANONICAL_N = 10
 
@@ -204,36 +205,42 @@ def enumerate_graphs(n: int, edge_count: int | None = None,
     Every canonical graph on k + 1 vertices extends a canonical graph on k
     vertices by the adjacency column of vertex k (see _children), so each
     class comes out exactly once.  The predicate runs once per class, on
-    the canonical representative, and must be isomorphism-invariant.
-    Levels are grown breadth-first until one holds at least 4 * jobs graphs;
-    each of those is then completed depth-first, in a worker process when
-    jobs > 1.  Results are sorted by canonical encoding."""
+    the canonical representative, and must be isomorphism-invariant.  The
+    search tree, cut by parallel.run_tree, is completed depth-first, in
+    worker processes when jobs > 1.  Results are sorted by canonical
+    encoding."""
     if n > MAX_CANONICAL_N:
         raise ResourceLimit(f"enumeration supported for n <= {MAX_CANONICAL_N}, got {n}")
-    if n < 0:
-        raise GraphError(f"vertex count must be non-negative, got {n}")
+    if min(n, edge_count or 0, min_degree) < 0:
+        raise GraphError("vertex count, edge count and minimum degree must be "
+                         f"non-negative, got {n}, {edge_count}, {min_degree}")
     bounds = (0, n * (n - 1) // 2) if edge_count is None else (edge_count, edge_count)
     # the empty graph has no edges and, as in Graph.degree_summary, minimum
     # degree 0; for n > 0, _children applies both bounds
-    level = [CanonicalGraph(Graph(0), ())] \
-        if n > 0 or (bounds[0] <= 0 <= bounds[1] and min_degree <= 0) else []
-    while level and level[0].graph.n < n and len(level) < 4 * jobs:
-        level = [child for parent in level
-                 for child in _children(parent, n, bounds, min_degree)]
-    tasks = [(parent, n, bounds, min_degree, predicate) for parent in level]
-    found = [cg for chunk in run_tasks(_complete, tasks, jobs) for cg in chunk]
+    if n == 0 and (bounds[0] > 0 or min_degree > 0):
+        return []
+
+    def expand(parent):
+        if parent.graph.n == n:
+            return None
+        return list(_children(parent, n, bounds, min_degree))
+
+    complete = functools.partial(_complete, n=n, bounds=bounds,
+                                 min_degree=min_degree, predicate=predicate)
+    root = CanonicalGraph(Graph(0), ())
+    found = [cg for chunk in run_tree(expand, complete, root, jobs) for cg in chunk]
     return sorted(found, key=lambda cg: cg.encoding)
 
 
-def _complete(task) -> list[CanonicalGraph]:
+def _complete(parent: CanonicalGraph, n: int, bounds: tuple[int, int],
+              min_degree: int, predicate) -> list[CanonicalGraph]:
     """The classes on n vertices that grow from one canonical graph and pass
     the predicate, found depth-first with one level of recursion per vertex
     still to add."""
-    parent, n, bounds, min_degree, predicate = task
     if parent.graph.n == n:
         return [parent] if predicate is None or predicate(parent.graph) else []
     return [cg for child in _children(parent, n, bounds, min_degree)
-            for cg in _complete((child, n, bounds, min_degree, predicate))]
+            for cg in _complete(child, n, bounds, min_degree, predicate)]
 
 
 def _children(parent: CanonicalGraph, n: int, bounds: tuple[int, int],

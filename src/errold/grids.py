@@ -277,8 +277,8 @@ def search_patterns(kind: GridKind, max_index: int,
     residue, and that translate is lexicographically no larger.  Only the
     first lattice of each point-group orbit is searched: the others reach
     the same density and come later in the tie order."""
-    if max_index > MAX_SEARCH_INDEX:
-        raise PatternError(f"exhaustive search supports index <= {MAX_SEARCH_INDEX}")
+    if not 1 <= max_index <= MAX_SEARCH_INDEX:
+        raise PatternError(f"exhaustive search supports 1 <= index <= {MAX_SEARCH_INDEX}")
     group = point_group(kind)
     tasks = [(kind, basis) for index in range(1, max_index + 1)
              for basis in hermite_bases(index) if _first_in_orbit(basis, group)]

@@ -1,6 +1,7 @@
-"""The one process fan-out behind every `--jobs` option: `spawn` workers,
-never more than tasks or CPUs, with the pool modules imported only when a
-pool starts, so importing the toolkit stays cheap."""
+"""The one process fan-out and the one tree split behind every `--jobs`
+option: `spawn` workers, never more than tasks or CPUs, with the pool
+modules imported only when a pool starts, so importing the toolkit stays
+cheap."""
 
 from __future__ import annotations
 
@@ -9,15 +10,30 @@ import os
 from .graph import ResourceLimit
 
 
-def split_depth(jobs: int, per_job: int) -> int:
-    """Branch depth, at most 8, whose 2**depth subtrees give every job
-    `per_job` of them; 0 when jobs == 1."""
-    return 0 if jobs <= 1 else min(8, (per_job * jobs - 1).bit_length())
-
-
 def pool_size(jobs: int, task_count: int) -> int:
     """Worker processes started for `task_count` tasks under `jobs`."""
     return max(1, min(jobs, task_count, os.cpu_count() or 1))
+
+
+def run_tree(expand, complete, root, jobs: int) -> list:
+    """[complete(node) for node in frontier], run by run_tasks.
+
+    The frontier is [root] when jobs == 1.  Otherwise it grows level by
+    level, each node replaced in place by expand(node): its children in
+    preorder, [] if nothing lies below it, or None (the node stays) if it
+    does not split.  Growth stops at a level of at least 4 nodes for every
+    worker that would start, or when no node splits, so the frontier is in
+    preorder of the tree."""
+    frontier = [root]
+    if jobs > 1:
+        target = 4 * pool_size(jobs, jobs)
+        while len(frontier) < target:
+            levels = [expand(node) for node in frontier]
+            frontier = [child for node, children in zip(frontier, levels)
+                        for child in ([node] if children is None else children)]
+            if not any(levels):
+                break
+    return run_tasks(complete, frontier, jobs)
 
 
 def run_tasks(fn, tasks, jobs: int) -> list:

@@ -148,7 +148,6 @@ def serialize_dimacs_cnf(formula: CnfFormula) -> str:
 
 @dataclass(frozen=True)
 class VariableLayout:
-    base: int
     x: int
     xbar: int
     p: int
@@ -158,7 +157,6 @@ class VariableLayout:
 
 @dataclass(frozen=True)
 class ClauseLayout:
-    base: int
     y: int
     anchor: int                # designated forced neighbour of y
     forced: tuple[int, ...]
@@ -223,7 +221,7 @@ def build_instance(formula: CnfFormula) -> ReductionInstance:
         edges.append((q, copies[0] + _SLOT_X))
         edges.extend([(p, x), (p, xbar), (q, x), (q, xbar), (x, xbar)])
         forced = tuple(c + v for c in copies for v in range(GADGET_SIZE))
-        variables.append(VariableLayout(base, x, xbar, p, q, forced))
+        variables.append(VariableLayout(x, xbar, p, q, forced))
 
     clauses: list[ClauseLayout] = []
     for j, clause in enumerate(formula.clauses):
@@ -234,7 +232,7 @@ def build_instance(formula: CnfFormula) -> ReductionInstance:
         for literal in clause:
             var = variables[abs(literal) - 1]
             edges.append((y, var.x if literal > 0 else var.xbar))
-        clauses.append(ClauseLayout(base, y, base + _Y_ATTACH[0],
+        clauses.append(ClauseLayout(y, base + _Y_ATTACH[0],
                                     tuple(base + v for v in range(GADGET_SIZE))))
 
     g = Graph(VARIABLE_BLOCK * n_vars + CLAUSE_BLOCK * n_clauses, edges)

@@ -31,11 +31,12 @@ verifies up front."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, bits_to_list
-from .parallel import run_tasks, split_depth
+from .parallel import run_tree
 from .detection import DetectionKind, requirements, verify
 
 
@@ -84,6 +85,8 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     worker processes; the result is identical to the serial search except
     for the advisory nodes_explored counter.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {budget}")
     if not verify(g, g.full_mask(), kind).ok:
         return SolveResult(status="infeasible", nodes_explored=1)
     if strategy == "exhaustive":
@@ -97,18 +100,13 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def decision(g: Graph, kind: DetectionKind, k: int) -> bool:
-    """True iff some detector set of size <= k passes verification."""
-    if k < 0:
-        raise ValueError("threshold must be non-negative")
-    return detector_set_within(g, kind, k) is not None
-
-
 def detector_set_within(g: Graph, kind: DetectionKind, k: int,
                         jobs: int = 1) -> set[int] | None:
     """The first detector set of size <= k in branch order, or None.
 
     The search stops at its first hit, so the set need not be minimum."""
+    if k < 0:
+        raise ValueError(f"threshold must be non-negative, got {k}")
     best, _ = _search(g, kind, limit=k + 1, jobs=jobs)
     return None if best is None else set(bits_to_list(best))
 
@@ -240,58 +238,39 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
 
 def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
             budget: int | None = None, jobs: int = 1) -> tuple[int | None, int]:
-    """Run the core from the root or, with jobs > 1, on the subtrees below
-    the first split_depth(jobs, 2) levels of the serial tree in worker
-    processes, with the budget applying to each subtree.
+    """Run the core on the subtrees of parallel.run_tree's frontier, with
+    the budget applying to each subtree: the root alone when jobs == 1.
 
     The tree below a node depends on that node alone, and the bound prunes
     no set smaller than itself, so the serial answer is the first hit in
     preorder of least size (of any size below `limit` if one is given).
-    The split takes it from the subtrees and shallower hits in preorder."""
+    The frontier is in preorder and keeps its leaves, so the split takes
+    the answer from the subtrees' hits in frontier order."""
     reqs, root = _compile(g, kind)
     if root is None:
         return None, 1
-    listed, nodes = _frontier(reqs, (*root, -1), limit, split_depth(jobs, 2))
-    results = iter(run_tasks(
-        _subtree, [(reqs, node, limit, budget)
-                   for hit, node in listed if node is not None], jobs))
-    hits = []
-    for hit, node in listed:
-        if node is not None:
-            hit, count = next(results)
-            nodes += count
-        if hit is not None:
-            hits.append(hit)
-    if not hits:
-        return None, nodes
-    return (hits[0] if limit is not None else min(hits, key=int.bit_count)), nodes
+    expanded = 0
 
+    def expand(node):
+        nonlocal expanded
+        expanded += 1
+        step = _examine(reqs, *node, limit)
+        if step is None:
+            return []
+        return None if step[2] is None else list(_children(*step))
 
-def _frontier(reqs, node, limit: int | None, depth: int) -> tuple[list, int]:
-    """The serial tree below `node` expanded `depth` levels down, as
-    (listed, nodes expanded): listed holds, in preorder, (set, None) for
-    each leaf above that depth and (None, node) for each node at it."""
-    if depth == 0:
-        return [(None, node)], 0
-    step = _examine(reqs, *node, limit)
-    if step is None:
-        return [], 1
-    if step[2] is None:
-        return [(step[0], None)], 1
-    take, skip = _children(*step)
-    listed, nodes = _frontier(reqs, take, limit, depth - 1)
-    more, count = _frontier(reqs, skip, limit, depth - 1)
-    return listed + more, 1 + nodes + count
+    results = run_tree(expand, functools.partial(
+        _branch_and_bound, reqs, limit=limit, budget=budget), (*root, -1), jobs)
+    hits = [best for best, _ in results if best is not None]
+    if limit is None:
+        hits.sort(key=int.bit_count)       # stable: the first of least size
+    return next(iter(hits), None), expanded + sum(count for _, count in results)
 
 
 def _children(chosen: int, undecided: int, v: int):
     """The take and the skip child of a node that branches on v."""
     bit = 1 << v
     return (chosen | bit, undecided & ~bit, -1), (chosen, undecided & ~bit, v)
-
-
-def _subtree(task) -> tuple[int | None, int]:
-    return _branch_and_bound(*task)
 
 
 def _branch_and_bound(reqs, node, limit: int | None = None,

@@ -238,6 +238,21 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["decide", "--graph", "petersen", "--kind", "err", "--k", "-1"],
+    ["decide", "--graph", "k4", "--kind", "err", "--k", "-1"],   # infeasible
+    ["solve", "--graph", "petersen", "--kind", "err", "--budget", "-1"],
+    ["enumerate", "--n", "5", "--m", "-5"],
+    ["enumerate", "--n", "5", "--min-degree", "-1"],
+    ["grid-search", "--grid", "SQR", "--max-index", "-3"],
+], ids="_".join)
+def test_negative_size_exits_two(capsys, files, argv):
+    code, out = run(capsys, *(files.get(word, word) for word in argv))
+    rep = report_dict(out)
+    assert code == 2 and rep["command"] == argv[0] and rep["status"] == "error"
+    assert "Traceback" not in out + capsys.readouterr().err
+
+
 def test_dead_worker_exits_two(capsys, monkeypatch):
     import errold.grids
     from errold.parallel import run_tasks

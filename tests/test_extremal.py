@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -77,6 +78,9 @@ def test_canonical_cap():
         canonical_encoding(random_graph(11, 0.5, random.Random(0)))
     with pytest.raises(ResourceLimit):
         enumerate_graphs(11)
+    for n, m, min_degree in ((-1, None, 0), (5, -5, 0), (5, None, -1)):
+        with pytest.raises(GraphError):
+            enumerate_graphs(n, m, min_degree=min_degree)
 
 
 # -- labeled enumeration ---------------------------------------------------------------
@@ -181,6 +185,43 @@ def test_parallel_generation_matches_serial():
         serial = enumerate_graphs(*args, **kwargs)
         parallel = enumerate_graphs(*args, **kwargs, jobs=2)
         assert serial and parallel == serial
+
+
+@pytest.mark.parametrize("frontier", [4, 32, 256])
+def test_split_at_any_frontier_size_reproduces_the_serial_classes(monkeypatch, frontier):
+    # the --jobs split run in this process, on the frontier that
+    # frontier / 4 workers would get
+    import errold.parallel
+    cases = [((7, None), {"min_degree": 2, "predicate": lambda g: g.m % 2 == 0}),
+             ((8, 13), {"min_degree": 3, "predicate": exists_err_old})]
+    serial = [enumerate_graphs(*args, **kwargs) for args, kwargs in cases]
+    sizes = []
+
+    def in_process(fn, tasks, jobs):
+        sizes.append(len(tasks))
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: frontier // 4)
+    monkeypatch.setattr(errold.parallel, "run_tasks", in_process)
+    split = [enumerate_graphs(*args, **kwargs, jobs=64) for args, kwargs in cases]
+    assert split == serial and serial[0]
+    assert max(sizes) >= frontier
+
+
+def test_split_sizes_the_frontier_by_the_workers_started(monkeypatch):
+    # 64 jobs on 2 CPUs start 2 workers, so the parent stops at the first
+    # level of at least 8 graphs instead of building every complete graph
+    import errold.parallel
+    handed = []
+
+    def record(fn, tasks, jobs):
+        handed.extend(tasks)
+        return [[] for _ in tasks]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(errold.parallel, "run_tasks", record)
+    enumerate_graphs(8, 14, min_degree=3, jobs=64)
+    assert [cg.graph.n for cg in handed] == [4] * 11
 
 
 def test_enumerate_cubic_classes():

@@ -320,8 +320,9 @@ def test_search_triangular_acceptance_bound():
 
 
 def test_search_cap():
-    with pytest.raises(PatternError, match="index"):
-        search_patterns(SQR, 40)
+    for max_index in (40, 0, -3):
+        with pytest.raises(PatternError, match="index"):
+            search_patterns(SQR, max_index)
 
 
 def test_search_parallel_matches_serial():

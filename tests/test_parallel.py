@@ -2,8 +2,9 @@ import os
 
 import pytest
 
+import errold.parallel
 from errold.graph import ResourceLimit
-from errold.parallel import pool_size, run_tasks, split_depth
+from errold.parallel import pool_size, run_tasks, run_tree
 
 
 def test_results_come_back_in_task_order():
@@ -43,8 +44,32 @@ def test_pool_never_exceeds_tasks_or_cpus(monkeypatch):
     assert pool_size(1000, 100) == 1
 
 
-def test_split_depth():
-    assert split_depth(1, 4) == 0
-    assert split_depth(2, 2) == 2      # 4 subtrees for 2 jobs
-    assert split_depth(3, 4) == 4      # 16 >= 12
-    assert split_depth(1000, 4) == 8   # capped
+def test_run_tree_frontier(monkeypatch):
+    # a binary tree of strings below "": "10" has nothing below it, "00"
+    # and the nodes of length 5 do not split
+    monkeypatch.setattr(errold.parallel, "run_tasks",
+                        lambda fn, tasks, jobs: [fn(task) for task in tasks])
+    expanded = []
+
+    def expand(node):
+        expanded.append(node)
+        if node == "10":
+            return []
+        if node == "00" or len(node) == 5:
+            return None
+        return [node + "0", node + "1"]
+
+    def frontier(cpus, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        expanded.clear()
+        return run_tree(expand, lambda node: node, "", jobs)
+
+    assert frontier(2, 1) == [""] and expanded == []
+    # 4 tasks per worker started, however many jobs are asked for
+    assert frontier(1, 64) == ["00", "01", "10", "11"]
+    assert frontier(2, 64) == ["00", "0100", "0101", "0110", "0111",
+                               "1100", "1101", "1110", "1111"]
+    assert frontier(2, 2) == frontier(2, 64)
+    # growth stops when no node splits
+    assert frontier(64, 64) == ["00"] + [p + format(i, "03b") for p in ("01", "11")
+                                         for i in range(8)]

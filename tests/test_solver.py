@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from errold.graph import Graph, bits_to_list, mask_of
 from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
                               verify, forced_detectors, forced_detectors_for_kind)
-from errold.solver import (minimum_detector_set, decision, detector_set_within,
+from errold.solver import (minimum_detector_set, detector_set_within,
                            SearchBudgetExceeded, _compile, _examine, _propagate,
                            _children)
 from errold.families import (complete_graph, petersen_graph,
@@ -70,11 +71,12 @@ def test_seven_vertex_extremal_graphs(edges):
 
 def test_decision_examples():
     p = petersen_graph()
-    assert decision(p, ERR_OLD, 10)
-    assert not decision(p, ERR_OLD, 9)
-    assert not decision(complete_graph(4), ERR_OLD, 4)
-    with pytest.raises(ValueError):
-        decision(p, ERR_OLD, -1)
+    assert detector_set_within(p, ERR_OLD, 10) is not None
+    assert detector_set_within(p, ERR_OLD, 9) is None
+    assert detector_set_within(complete_graph(4), ERR_OLD, 4) is None
+    for g in (p, complete_graph(4)):
+        with pytest.raises(ValueError):
+            detector_set_within(g, ERR_OLD, -1)
 
 
 def test_empty_graph():
@@ -147,9 +149,12 @@ def test_budget_exhaustion_carries_bound():
     g = random_graph(12, 0.5, random.Random(16))
     if minimum_detector_set(g, OLD).status != "optimal":
         pytest.skip("need a feasible instance")
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        minimum_detector_set(g, OLD, budget=3)
-    assert exc.value.nodes_explored == 3
+    for budget in (3, 0):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            minimum_detector_set(g, OLD, budget=budget)
+        assert exc.value.nodes_explored == budget
+    with pytest.raises(ValueError):
+        minimum_detector_set(g, OLD, budget=-1)
 
 
 def test_parallel_matches_serial():
@@ -169,7 +174,8 @@ def test_decision_agrees_with_minimisation():
             res = minimum_detector_set(g, kind)
             for k in range(g.n + 1):
                 expect = res.status == "optimal" and res.optimum <= k
-                assert decision(g, kind, k) == expect, (g, kind, k)
+                assert (detector_set_within(g, kind, k) is not None) == expect, \
+                    (g, kind, k)
 
 
 def test_parallel_decision_matches_serial():
@@ -287,22 +293,28 @@ def test_branch_and_bound_matches_exhaustive():
     assert outcomes == {"optimal", "infeasible"}
 
 
-@pytest.mark.parametrize("depth", [1, 3, 6])
-def test_split_at_any_depth_reproduces_the_serial_answer(monkeypatch, depth):
-    # the --jobs split run in this process, at depths --jobs alone would
-    # not reach on graphs this small
-    import errold.solver
-    rng = random.Random(45 + depth)
-    cases = [(random_graph(rng.randint(6, 12), rng.uniform(0.3, 0.7), rng), kind)
+@pytest.mark.parametrize("frontier", [4, 32, 256])
+def test_split_at_any_frontier_size_reproduces_the_serial_answer(monkeypatch, frontier):
+    # the --jobs split run in this process, on the frontier that
+    # frontier / 4 workers would get, larger than this machine's CPUs give
+    import errold.parallel
+    rng = random.Random(45 + frontier)
+    cases = [(random_graph(rng.randint(10, 16), rng.uniform(0.3, 0.7), rng), kind)
              for _ in range(15) for kind in ALL_KINDS]
     serial = [(minimum_detector_set(g, kind).witness,
                [detector_set_within(g, kind, k) for k in range(g.n + 1)])
               for g, kind in cases]
-    monkeypatch.setattr(errold.solver, "split_depth", lambda jobs, per_job: depth)
-    monkeypatch.setattr(errold.solver, "run_tasks",
-                        lambda fn, tasks, jobs: [fn(task) for task in tasks])
-    split = [(minimum_detector_set(g, kind, jobs=2).witness,
-              [detector_set_within(g, kind, k, jobs=2) for k in range(g.n + 1)])
+    sizes = []
+
+    def in_process(fn, tasks, jobs):
+        sizes.append(len(tasks))
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: frontier // 4)
+    monkeypatch.setattr(errold.parallel, "run_tasks", in_process)
+    split = [(minimum_detector_set(g, kind, jobs=64).witness,
+              [detector_set_within(g, kind, k, jobs=64) for k in range(g.n + 1)])
              for g, kind in cases]
     assert split == serial
     assert any(witness is not None for witness, _ in serial)
+    assert max(sizes) >= frontier
