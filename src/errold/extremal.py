@@ -221,14 +221,12 @@ def enumerate_graphs(n: int, edge_count: int | None = None,
         return []
 
     def expand(parent):
-        if parent.graph.n == n:
-            return None
-        return list(_children(parent, n, bounds, min_degree))
+        return None if parent.graph.n == n else list(_children(parent, n, bounds, min_degree))
 
     complete = functools.partial(_complete, n=n, bounds=bounds,
                                  min_degree=min_degree, predicate=predicate)
     root = CanonicalGraph(Graph(0), ())
-    found = [cg for chunk in run_tree(expand, complete, root, jobs) for cg in chunk]
+    found = [cg for chunk in run_tree(expand, complete, root, jobs, 4) for cg in chunk]
     return sorted(found, key=lambda cg: cg.encoding)
 
 

@@ -15,25 +15,26 @@ def pool_size(jobs: int, task_count: int) -> int:
     return max(1, min(jobs, task_count, os.cpu_count() or 1))
 
 
-def run_tree(expand, complete, root, jobs: int) -> list:
+def run_tree(expand, complete, root, jobs: int, per_worker: int) -> list:
     """[complete(node) for node in frontier], run by run_tasks.
 
     The frontier is [root] when jobs == 1.  Otherwise it grows level by
     level, each node replaced in place by expand(node): its children in
     preorder, [] if nothing lies below it, or None (the node stays) if it
-    does not split.  Growth stops at a level of at least 4 nodes for every
-    worker that would start, or when no node splits, so the frontier is in
-    preorder of the tree."""
-    frontier = [root]
-    if jobs > 1:
-        target = 4 * pool_size(jobs, jobs)
-        while len(frontier) < target:
-            levels = [expand(node) for node in frontier]
-            frontier = [child for node, children in zip(frontier, levels)
-                        for child in ([node] if children is None else children)]
-            if not any(levels):
-                break
-    return run_tasks(complete, frontier, jobs)
+    does not split.  A node that stays is not expanded again.  Growth stops
+    at a level of at least `per_worker` nodes for every worker that would
+    start, or when every node stays, so the frontier is in preorder of the
+    tree."""
+    frontier = [(root, False)]             # (node, stays)
+    target = per_worker * pool_size(jobs, jobs) if jobs > 1 else 1
+    while len(frontier) < target and not all(stays for _, stays in frontier):
+        grown = []
+        for node, stays in frontier:
+            children = None if stays else expand(node)
+            grown += [(node, True)] if children is None else \
+                [(child, False) for child in children]
+        frontier = grown
+    return run_tasks(complete, [node for node, _ in frontier], jobs)
 
 
 def run_tasks(fn, tasks, jobs: int) -> list:

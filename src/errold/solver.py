@@ -259,8 +259,9 @@ def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
             return []
         return None if step[2] is None else list(_children(*step))
 
+    # 2 subtrees per worker, as each minimises without the others' bound
     results = run_tree(expand, functools.partial(
-        _branch_and_bound, reqs, limit=limit, budget=budget), (*root, -1), jobs)
+        _branch_and_bound, reqs, limit=limit, budget=budget), (*root, -1), jobs, 2)
     hits = [best for best, _ in results if best is not None]
     if limit is None:
         hits.sort(key=int.bit_count)       # stable: the first of least size

@@ -59,17 +59,19 @@ def test_run_tree_frontier(monkeypatch):
             return None
         return [node + "0", node + "1"]
 
-    def frontier(cpus, jobs):
+    def frontier(cpus, jobs, per_worker=4):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         expanded.clear()
-        return run_tree(expand, lambda node: node, "", jobs)
+        return run_tree(expand, lambda node: node, "", jobs, per_worker)
 
     assert frontier(2, 1) == [""] and expanded == []
-    # 4 tasks per worker started, however many jobs are asked for
+    # per_worker tasks per worker started, however many jobs are asked for
     assert frontier(1, 64) == ["00", "01", "10", "11"]
+    assert frontier(2, 64, per_worker=2) == frontier(1, 64)
     assert frontier(2, 64) == ["00", "0100", "0101", "0110", "0111",
                                "1100", "1101", "1110", "1111"]
     assert frontier(2, 2) == frontier(2, 64)
-    # growth stops when no node splits
+    # growth stops when no node splits, and a node that stays is expanded once
     assert frontier(64, 64) == ["00"] + [p + format(i, "03b") for p in ("01", "11")
                                          for i in range(8)]
+    assert sorted(expanded) == sorted(set(expanded)) and "00" in expanded

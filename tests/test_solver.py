@@ -296,7 +296,7 @@ def test_branch_and_bound_matches_exhaustive():
 @pytest.mark.parametrize("frontier", [4, 32, 256])
 def test_split_at_any_frontier_size_reproduces_the_serial_answer(monkeypatch, frontier):
     # the --jobs split run in this process, on the frontier that
-    # frontier / 4 workers would get, larger than this machine's CPUs give
+    # frontier / 2 workers would get, larger than this machine's CPUs give
     import errold.parallel
     rng = random.Random(45 + frontier)
     cases = [(random_graph(rng.randint(10, 16), rng.uniform(0.3, 0.7), rng), kind)
@@ -310,10 +310,10 @@ def test_split_at_any_frontier_size_reproduces_the_serial_answer(monkeypatch, fr
         sizes.append(len(tasks))
         return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(os, "cpu_count", lambda: frontier // 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: frontier // 2)
     monkeypatch.setattr(errold.parallel, "run_tasks", in_process)
-    split = [(minimum_detector_set(g, kind, jobs=64).witness,
-              [detector_set_within(g, kind, k, jobs=64) for k in range(g.n + 1)])
+    split = [(minimum_detector_set(g, kind, jobs=256).witness,
+              [detector_set_within(g, kind, k, jobs=256) for k in range(g.n + 1)])
              for g, kind in cases]
     assert split == serial
     assert any(witness is not None for witness, _ in serial)
