@@ -4,13 +4,16 @@ expansion construction.
 
 Canonicalisation is the minimum encoding, over all vertex permutations, of
 the adjacency bits in column-major pair order, computed by prefix-pruned
-backtracking (exact, adequate for the supported range n <= 10).
+backtracking (exact, adequate for the supported range n <= 10).  Bounded by
+a graph's code under some labelling, the same search only decides whether
+that code is canonical, and stops at the first labelling that beats it.
 
 Enumeration is orderly generation (R. C. Read, "Every one a winner", 1978;
 B. D. McKay, "Isomorph-free exhaustive generation", 1998): each class comes
-out once, as its canonical representative, with no deduplication.
-`labeled_graphs`, the edge-slot enumeration of labeled graphs, is kept as
-the test oracle."""
+out once, as its canonical representative, with no deduplication.  Each
+candidate child is kept iff the bounded search finds nothing below its own
+code.  `labeled_graphs`, the edge-slot enumeration of labeled graphs, is
+kept as the test oracle."""
 
 from __future__ import annotations
 
@@ -30,24 +33,28 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def canonical_encoding(g: Graph) -> tuple[int, ...]:
-    """Minimum adjacency encoding over all vertex permutations.
+def canonical_encoding(g: Graph, *,
+                       bound: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+    """Minimum adjacency encoding over all vertex permutations or, given a
+    `bound` that is the encoding of g under some labelling, the bound
+    if no labelling encodes below it and None as soon as one does.
 
     The encoding lists adjacency bits for pairs in column-major order, so the
     bits contributed by new label j are known once labels 0..j are placed.
     The search keeps the invariant that the current partial labelling matches
-    `best` exactly: a branch whose next bit exceeds best is pruned, and a
-    branch with a smaller bit overwrites best's tail with the maximum
-    padding, which preserves the invariant and only ever lowers best.
-    Unused vertices that are twins produce identical subtrees, so only one
-    representative per twin class is tried."""
+    `best` (the bound, or all ones) exactly: a branch whose next bit exceeds
+    best is pruned, and a branch with a smaller bit ends a bounded search,
+    or else overwrites best's tail with the maximum padding, which preserves
+    the invariant and only ever lowers best.  Unused vertices that are twins
+    produce identical subtrees, so only one representative per twin class
+    is tried."""
     n = g.n
     if n > MAX_CANONICAL_N:
         raise ResourceLimit(f"canonical form supported for n <= {MAX_CANONICAL_N}, got {n}")
     if n == 0:
         return ()
     adj = g.adj
-    best = [1] * (n * (n - 1) // 2)
+    best = [1] * (n * (n - 1) // 2) if bound is None else list(bound)
     placed = [0] * n          # placed[k] = old vertex carrying new label k
 
     def candidates(used_mask: int) -> list[int]:
@@ -63,10 +70,11 @@ def canonical_encoding(g: Graph) -> tuple[int, ...]:
                 reps.append(w)
         return reps
 
-    def rec(depth: int, pos: int, used_mask: int):
+    def rec(depth: int, pos: int, used_mask: int) -> bool:
+        # True iff the search is bounded and a labelling encodes below it
         if depth == n:
             # invariant: best[:pos] equals the encoding of the labelling
-            return
+            return False
         for w in candidates(used_mask):
             p = pos
             pruned = False
@@ -76,6 +84,8 @@ def canonical_encoding(g: Graph) -> tuple[int, ...]:
                     pruned = True
                     break
                 if bit < best[p]:
+                    if bound is not None:
+                        return True
                     best[p] = bit
                     for q in range(p + 1, len(best)):
                         best[q] = 1
@@ -86,10 +96,11 @@ def canonical_encoding(g: Graph) -> tuple[int, ...]:
             if pruned:
                 continue
             placed[depth] = w
-            rec(depth + 1, pos + depth, used_mask | (1 << w))
+            if rec(depth + 1, pos + depth, used_mask | (1 << w)):
+                return True
+        return False
 
-    rec(0, 0, 0)
-    return tuple(best)
+    return None if rec(0, 0, 0) else tuple(best)
 
 
 def encoding_hex(encoding: tuple[int, ...]) -> str:
@@ -251,7 +262,8 @@ def _children(parent: CanonicalGraph, n: int, bounds: tuple[int, int],
     graph changes only the first k(k-1)/2 bits of its code, so the code of a
     canonical graph starts with the code of the canonical graph on its first
     k labels.  A child is kept iff its code (the parent's code followed by
-    the new column) is its canonical encoding."""
+    the new column) is its canonical encoding, which the search bounded by
+    that code decides."""
     g = parent.graph
     k = g.n
     lo, hi = bounds
@@ -277,7 +289,7 @@ def _children(parent: CanonicalGraph, n: int, bounds: tuple[int, int],
                 and 2 * (hi - m) >= missing:
             child = Graph(k + 1, edges + [(i, k) for i in bits_to_list(column)])
             code = parent.encoding + tuple(column >> i & 1 for i in range(k))
-            if canonical_encoding(child) == code:
+            if canonical_encoding(child, bound=code) == code:
                 yield CanonicalGraph(child, code)
         if not sub:
             return

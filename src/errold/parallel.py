@@ -38,13 +38,14 @@ def run_tree(expand, complete, root, jobs: int, per_worker: int) -> list:
 
 
 def run_tasks(fn, tasks, jobs: int) -> list:
-    """[fn(task) for task in tasks], in this process when jobs == 1 and in
-    worker processes otherwise, where fn and the list tasks must pickle.  An
-    exception raised by fn reaches the caller unchanged; a dead worker is a
-    ResourceLimit; an interrupt stops the workers and reaches the caller."""
+    """[fn(task) for task in tasks], in this process when jobs == 1 or there
+    is at most one task, and in worker processes otherwise, where fn and the
+    list tasks must pickle.  An exception raised by fn reaches the caller
+    unchanged; a dead worker is a ResourceLimit; an interrupt stops the
+    workers and reaches the caller."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
+    if jobs == 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
     import concurrent.futures
     import multiprocessing

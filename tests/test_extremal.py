@@ -56,6 +56,36 @@ def test_canonical_on_symmetric_graphs():
     canonical_encoding(petersen_graph())
 
 
+def encoding_under(g, label):
+    """The code of g when old vertex v carries new label label[v]."""
+    vertex = sorted(range(g.n), key=label.__getitem__)
+    return tuple(int(g.has_edge(vertex[i], vertex[j]))
+                 for j in range(1, g.n) for i in range(j))
+
+
+def test_bounded_search_is_the_canonicity_test():
+    # the bound is g's code under some labelling: it comes back iff it is
+    # the canonical code, and None otherwise; complete graphs, K55 and
+    # Petersen lean on twin pruning and symmetry
+    rng = random.Random(25)
+    graphs = [random_graph(rng.randint(0, 8), rng.uniform(0.1, 0.9), rng)
+              for _ in range(120)]
+    graphs += [complete_graph(n) for n in (1, 2, 5, 10)]
+    graphs += [complete_bipartite(5, 5), petersen_graph()]
+    for g in graphs:
+        canonical = canonical_encoding(g)
+        codes = [canonical]
+        for _ in range(6):
+            label = list(range(g.n))
+            rng.shuffle(label)
+            codes.append(encoding_under(g, label))
+        for c in codes:
+            expect = c if c == canonical else None
+            assert canonical_encoding(g, bound=c) == expect
+            if g.n <= 6:
+                assert expect == (c if c == brute_canonical(g) else None)
+
+
 def test_encoding_graph_roundtrip():
     rng = random.Random(22)
     for _ in range(40):
@@ -177,6 +207,24 @@ def test_predicate_runs_once_per_class():
     # 4 classes among 5,670 labeled graphs; 11 edges, so none passes
     assert enumerate_graphs(7, 11, predicate=count, min_degree=3) == []
     assert len(seen) == 4
+
+
+def test_one_canonicity_test_per_candidate_child(monkeypatch):
+    # each candidate child costs one bounded canonical_encoding call, its
+    # own code as the bound; the counts are the benchmark's enum workloads
+    import errold.extremal
+    bounds = []
+
+    def count(g, **kwargs):
+        bounds.append(kwargs.get("bound"))
+        return canonical_encoding(g, **kwargs)
+
+    monkeypatch.setattr(errold.extremal, "canonical_encoding", count)
+    assert len(enumerate_graphs(7, 11, min_degree=3)) == 4
+    assert len(bounds) == 304
+    assert enumerate_graphs(7, 13, predicate=exists_err_old, min_degree=3) == []
+    assert len(bounds) == 304 + 800
+    assert None not in bounds
 
 
 def test_parallel_generation_matches_serial():

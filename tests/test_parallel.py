@@ -16,6 +16,13 @@ def test_one_job_runs_in_this_process():
     assert run_tasks(lambda x: x + 1, [1, 2], 1) == [2, 3]
 
 
+def test_one_task_runs_in_this_process():
+    # a root that stays is a frontier of one task, which starts no pool
+    # even under jobs=2: only an in-process run can call the lambda
+    assert run_tree(lambda node: None, lambda node: node + 1, 1, 2, 4) == [2]
+    assert run_tasks(lambda x: x + 1, [1], 2) == [2]
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_rejected(jobs):
     with pytest.raises(ValueError):
