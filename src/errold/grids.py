@@ -29,12 +29,15 @@ pattern of minimum density."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 import itertools
+from operator import attrgetter, or_
 
 from .graph import Graph, ParseError
-from .parallel import run_tasks
+from .parallel import pool_size, run_tasks
 
 SQR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 TRI_OFFSETS = SQR_OFFSETS + ((1, 1), (-1, -1))
@@ -54,6 +57,14 @@ class GridKind:
             if d != (0, 0):
                 out.add(d)
         return tuple(sorted(out))
+
+    @cached_property
+    def requirement_shapes(self):
+        # the offsets each certification requirement counts: N(0), then
+        # N(0) symmetric-difference N(delta) per displacement within two
+        offsets = set(self.offsets)
+        return [self.offsets] + [tuple(offsets ^ {(dx + ox, dy + oy) for ox, oy in offsets})
+                                 for dx, dy in self.displacements_within_two()]
 
 
 SQR = GridKind("SQR", SQR_OFFSETS)
@@ -170,31 +181,27 @@ class GridCertificate:
         return self.ok
 
 
-def _dominator_points(p: PeriodicPattern, point: tuple[int, int]) -> frozenset:
-    x, y = point
-    return frozenset((x + ox, y + oy) for ox, oy in p.kind.offsets
-                     if p.is_detector((x + ox, y + oy)))
-
-
 def certify_pattern(p: PeriodicPattern) -> GridCertificate:
     """Certify the pattern as an error-correcting detector set of the whole
     infinite grid via the finite residue computation described in the module
     docstring."""
     classes = p.residue_classes()
+    @cache                       # once per plane point, for this call only
+    def dominated_by(point):
+        x, y = point
+        return frozenset((x + ox, y + oy) for ox, oy in p.kind.offsets
+                         if p.is_detector((x + ox, y + oy)))
     domination = {}
     for u in classes:
-        dom = sum(1 for ox, oy in p.kind.offsets
-                  if p.is_detector((u[0] + ox, u[1] + oy)))
-        domination[u] = dom
+        domination[u] = dom = len(dominated_by(u))
         if dom < 3:
             return GridCertificate(False, domination=domination,
                                    failing_class=u, value=dom)
+    displacements = p.kind.displacements_within_two()
     for u in classes:
-        du = _dominator_points(p, u)
-        for delta in p.kind.displacements_within_two():
-            v = (u[0] + delta[0], u[1] + delta[1])
-            dv = _dominator_points(p, v)
-            value = len(du ^ dv)
+        du = dominated_by(u)
+        for delta in displacements:
+            value = len(du ^ dominated_by((u[0] + delta[0], u[1] + delta[1])))
             if value < 3:
                 return GridCertificate(False, domination=domination,
                                        failing_class=u,
@@ -276,15 +283,29 @@ def search_patterns(kind: GridKind, max_index: int,
     has a certified translate whose detector list starts at the least
     residue, and that translate is lexicographically no larger.  Only the
     first lattice of each point-group orbit is searched: the others reach
-    the same density and come later in the tie order."""
+    the same density and come later in the tie order.  Each strided share
+    of the lattices (one per worker) searches a lattice only below its best
+    density so far, so it still finds its first lattice of least density."""
     if not 1 <= max_index <= MAX_SEARCH_INDEX:
         raise PatternError(f"exhaustive search supports 1 <= index <= {MAX_SEARCH_INDEX}")
     group = point_group(kind)
     tasks = [(kind, basis) for index in range(1, max_index + 1)
              for basis in hermite_bases(index) if _first_in_orbit(basis, group)]
-    # min keeps the first of equally dense patterns, in task order
-    found = [p for p in run_tasks(_search_basis, tasks, jobs) if p is not None]
-    return min(found, key=pattern_density, default=None)
+    count = pool_size(jobs, len(tasks))
+    found = run_tasks(_search_share, [tasks[k::count] for k in range(count)], jobs)
+    # every lattice has a certified pattern (all residues), so no share comes
+    # back empty; the answer is the least dense that comes first in task
+    # order, which sorts lattices by index, then Hermite basis
+    found = sorted(found, key=attrgetter("index", "basis"))
+    return min(found, key=pattern_density)
+
+
+def _search_share(tasks):
+    # the first pattern of least density on the lattices `tasks`, in order
+    best = None
+    for task in tasks:
+        best = _search_basis(task, best and pattern_density(best)) or best
+    return best
 
 
 def requirement_masks(p: PeriodicPattern) -> list[tuple[int, int, int]]:
@@ -294,43 +315,37 @@ def requirement_masks(p: PeriodicPattern) -> list[tuple[int, int, int]]:
     multiset: a detector mask D certifies iff every requirement has
     sum((m & D).bit_count() for m in masks) >= 3.  Multiplicities are capped
     at 3, which meets the requirement on its own."""
-    offsets = set(p.kind.offsets)
-    shapes = [p.kind.offsets] + [
-        tuple(offsets ^ {(dx + ox, dy + oy) for ox, oy in offsets})
-        for dx, dy in p.kind.displacements_within_two()]
-    near = set().union(*shapes)
     classes = p.residue_classes()
-    cindex = {c: i for i, c in enumerate(classes)}
-    requirements = {}
-    for x, y in classes:
-        bit = {(dx, dy): 1 << cindex[p.reduce((x + dx, y + dy))] for dx, dy in near}
-        for shape in shapes:
-            masks = [0, 0, 0]
-            for point in shape:
-                b = bit[point]
-                # masks are nested, so the first one without b is the next
-                # level; a class already on all three is capped
-                for level, m in enumerate(masks):
-                    if not m & b:
-                        masks[level] = m | b
-                        break
-            requirements[tuple(masks)] = None
+    bit = {c: 1 << i for i, c in enumerate(classes)}
+    # offsets congruent modulo the lattice meet in one class from every
+    # class, so each shape's multiplicities are counted once, at the origin
+    column, requirements = {}, {}  # column[r]: the bit of c + r per class c
+    for shape in p.kind.requirement_shapes:
+        # level k of every class at once ORs the columns of residues met > k times
+        levels = [[0] * len(classes)] * 3
+        for r, count in Counter(map(p.reduce, shape)).items():
+            if r not in column:
+                column[r] = [bit[p.reduce((x + r[0], y + r[1]))] for x, y in classes]
+            for k in range(min(count, 3)):
+                levels[k] = map(or_, levels[k], column[r])
+        requirements.update(dict.fromkeys(zip(*levels)))
     return list(requirements)
 
 
-def _search_basis(args) -> PeriodicPattern | None:
-    """Lowest-density certified pattern on one lattice, detectors tried in
-    size-then-lexicographic order and screened with `requirement_masks`;
-    only the pattern returned is certified, as a confirmation."""
+def _search_basis(args, below=None) -> PeriodicPattern | None:
+    """Lowest-density certified pattern on one lattice, if below `below`,
+    detectors tried in size-then-lexicographic order and screened with
+    `requirement_masks`; only the pattern returned is certified."""
     kind, basis = args
     probe = PeriodicPattern(kind, basis, frozenset())
-    classes = probe.residue_classes()
     index = probe.index
-    requirements = requirement_masks(probe)
-    # every class needs 3 detector neighbours and a detector dominates at
-    # most |offsets| classes, so 3*index <= |detectors|*|offsets|
-    min_size = -(-3 * index // len(kind.offsets))
-    for size in range(max(min_size, 1), index + 1):
+    # 3*index <= |detectors|*|offsets| as every class needs 3 detector
+    # neighbours; and size/index < below iff size < ceil(below*index)
+    sizes = range(-(-3 * index // len(kind.offsets)),
+                  index + 1 if below is None else -(-index * below // 1))
+    classes = probe.residue_classes()
+    requirements = sizes and requirement_masks(probe)    # none if no size is left
+    for size in sizes:
         for combo in itertools.combinations(range(1, index), size - 1):
             detmask = 1
             for i in combo:

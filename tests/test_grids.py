@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from errold.detection import verify, ERR_OLD
-from errold.grids import (SQR, TRI, KNG, PeriodicPattern, PatternError,
+from errold import grids
+from errold.grids import (SQR, TRI, KNG, PeriodicPattern, PatternError, GridCertificate,
                           MAX_PATTERN_INDEX, MAX_RENDER_WINDOW,
                           pattern_density, certify_pattern, max_share, share_sum,
                           hermite_bases, hermite_form, point_group,
@@ -20,6 +22,10 @@ PATTERN_DIR = Path(__file__).resolve().parent.parent / "patterns"
 def saved_patterns():
     return {name: parse_pattern((PATTERN_DIR / f"{name}.pattern").read_text())
             for name in ("sqr_7_8", "tri_4_7", "kng_4_9")}
+
+
+UNIMODULAR = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)),
+              ((1, -1), (0, 1)), ((2, 1), (1, 1)), ((1, 0), (0, -1))]
 
 
 def random_pattern(rng, kind=None, max_dim=4):
@@ -84,12 +90,10 @@ def test_hermite_form():
     """The Hermite form spans the same lattice, is listed by hermite_bases,
     and the residues enumerated from it equal a scan of the index square."""
     rng = random.Random(46)
-    unimods = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)),
-               ((1, -1), (0, 1)), ((2, 1), (1, 1)), ((1, 0), (0, -1))]
     for _ in range(200):
         p = random_pattern(rng)
         for _ in range(rng.randint(0, 3)):
-            p = p.change_basis(rng.choice(unimods))
+            p = p.change_basis(rng.choice(UNIMODULAR))
         hnf = hermite_form(p.basis)
         assert hnf in hermite_bases(p.index)
         q = PeriodicPattern(p.kind, hnf, frozenset())
@@ -137,6 +141,50 @@ def mask_screen_passes(p):
                for masks in requirement_masks(p))
 
 
+def reference_requirement_masks(p):
+    """requirement_masks with every shape point reduced from every class by
+    PeriodicPattern.reduce: the reference for multiplicities counted once,
+    at the origin."""
+    offsets = set(p.kind.offsets)
+    shapes = [p.kind.offsets] + [
+        tuple(offsets ^ {(dx + ox, dy + oy) for ox, oy in offsets})
+        for dx, dy in p.kind.displacements_within_two()]
+    near = set().union(*shapes)
+    classes = p.residue_classes()
+    cindex = {c: i for i, c in enumerate(classes)}
+    requirements = set()
+    for x, y in classes:
+        bit = {(dx, dy): 1 << cindex[p.reduce((x + dx, y + dy))] for dx, dy in near}
+        for shape in shapes:
+            masks = [0, 0, 0]
+            for point in shape:
+                b = bit[point]
+                for level, m in enumerate(masks):
+                    if not m & b:
+                        masks[level] = m | b
+                        break
+            requirements.add(tuple(masks))
+    return requirements
+
+
+def test_requirement_masks_match_reference():
+    """Every Hermite basis up to index 12, then random bases that are not
+    Hermite forms, on all three grids."""
+    patterns = [PeriodicPattern(kind, basis, frozenset()) for kind in (SQR, TRI, KNG)
+                for index in range(1, 13) for basis in hermite_bases(index)]
+    rng = random.Random(49)
+    for _ in range(150):
+        p = random_pattern(rng, max_dim=5)
+        for _ in range(rng.randint(1, 4)):
+            p = p.change_basis(rng.choice(UNIMODULAR))
+        patterns.append(p)
+    assert sum(p.basis != hermite_form(p.basis) for p in patterns) > 100
+    for p in patterns:
+        masks = requirement_masks(p)
+        assert len(set(masks)) == len(masks)
+        assert set(masks) == reference_requirement_masks(p), (p.kind.name, p.basis)
+
+
 def test_requirement_masks_match_certify():
     """The mask screen accepts exactly the certified patterns: every subset
     on every lattice of index <= 4, where offsets fold onto few classes,
@@ -164,6 +212,54 @@ def test_requirement_masks_match_certify():
             checked += 1
             certified += ok
     assert certified > 100 and checked - certified > 100
+
+
+def reference_certify(p):
+    """certify_pattern with every dominator set recomputed where it is
+    used: the reference for its per-call memo."""
+    def dominator_points(point):
+        x, y = point
+        return frozenset((x + ox, y + oy) for ox, oy in p.kind.offsets
+                         if p.is_detector((x + ox, y + oy)))
+
+    classes = p.residue_classes()
+    domination = {}
+    for u in classes:
+        dom = sum(1 for ox, oy in p.kind.offsets
+                  if p.is_detector((u[0] + ox, u[1] + oy)))
+        domination[u] = dom
+        if dom < 3:
+            return GridCertificate(False, domination=domination,
+                                   failing_class=u, value=dom)
+    for u in classes:
+        du = dominator_points(u)
+        for delta in p.kind.displacements_within_two():
+            value = len(du ^ dominator_points((u[0] + delta[0], u[1] + delta[1])))
+            if value < 3:
+                return GridCertificate(False, domination=domination,
+                                       failing_class=u,
+                                       failing_displacement=delta, value=value)
+    return GridCertificate(True, domination=domination)
+
+
+def test_certify_matches_reference():
+    """The whole certificate, failing class, displacement and value
+    included, on random patterns, denser copies of them, and both under
+    bases that are not Hermite forms."""
+    rng = random.Random(48)
+    outcomes = {"ok": 0, "domination": 0, "distinguishing": 0}
+    for _ in range(400):
+        p = random_pattern(rng, max_dim=5)
+        q = PeriodicPattern(p.kind, p.basis,
+                            p.detectors | frozenset(rng.sample(p.residue_classes(), p.index // 2)))
+        for pat in (p, q):
+            for _ in range(rng.randint(0, 3)):
+                pat = pat.change_basis(rng.choice(UNIMODULAR))
+            cert = certify_pattern(pat)
+            assert cert == reference_certify(pat), serialize_pattern(pat)
+            outcomes["ok" if cert.ok else "domination" if cert.failing_displacement is None
+                     else "distinguishing"] += 1
+    assert min(outcomes.values()) > 30, outcomes
 
 
 def test_certify_agrees_with_torus_verifier():
@@ -198,11 +294,9 @@ def test_translation_invariance():
 
 def test_basis_invariance():
     rng = random.Random(43)
-    unimods = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)),
-               ((1, -1), (0, 1)), ((2, 1), (1, 1)), ((1, 0), (0, -1))]
     for _ in range(250):
         p = random_pattern(rng)
-        q = p.change_basis(rng.choice(unimods))
+        q = p.change_basis(rng.choice(UNIMODULAR))
         assert q.index == p.index
         assert pattern_density(q) == pattern_density(p)
         assert certify_pattern(q).ok == certify_pattern(p).ok
@@ -268,9 +362,16 @@ SEARCH_BOUNDS = [(SQR, 8), (TRI, 7), (KNG, 11)]
 
 @pytest.mark.parametrize("kind,max_index", SEARCH_BOUNDS, ids=lambda v: getattr(v, "name", v))
 def test_search_basis_matches_certify_loop(kind, max_index):
+    """Unbounded, and bounded by the lattice's own optimum (nothing is
+    strictly below it) and by a density just above it."""
     for index in range(1, max_index + 1):
         for basis in hermite_bases(index):
-            assert _search_basis((kind, basis)) == certify_loop(kind, basis), basis
+            best = certify_loop(kind, basis)
+            assert _search_basis((kind, basis)) == best, basis
+            if best is not None:
+                assert _search_basis((kind, basis), pattern_density(best)) is None, basis
+                above = pattern_density(best) + Fraction(1, 1000)
+                assert _search_basis((kind, basis), above) == best, basis
 
 
 @pytest.mark.parametrize("kind,max_index", SEARCH_BOUNDS, ids=lambda v: getattr(v, "name", v))
@@ -323,6 +424,23 @@ def test_search_cap():
     for max_index in (40, 0, -3):
         with pytest.raises(PatternError, match="index"):
             search_patterns(SQR, max_index)
+
+
+def test_share_split_matches_serial(monkeypatch):
+    """Two and three worker processes, then two to eleven shares run in
+    this process, also on searches where many lattices tie at the least
+    density (KNG@10, TRI@6): every split returns the serial pattern."""
+    searches = [(KNG, 13), (TRI, 12), (KNG, 10), (TRI, 6)]
+    serial = [serialize_pattern(search_patterns(kind, max_index)) for kind, max_index in searches]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for (kind, max_index), expected in zip(searches[:2], serial):
+        for jobs in (2, 3):
+            assert serialize_pattern(search_patterns(kind, max_index, jobs=jobs)) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(grids, "run_tasks", lambda fn, tasks, jobs: list(map(fn, tasks)))
+    for (kind, max_index), expected in zip(searches, serial):
+        for jobs in range(2, 12):
+            assert serialize_pattern(search_patterns(kind, max_index, jobs=jobs)) == expected
 
 
 def test_search_parallel_matches_serial():
