@@ -3,7 +3,8 @@
 Reports are stable line-oriented "key: value" text on stdout, one key per
 line.  Each input file is read once, and the report carries a sha256 digest
 of exactly the bytes that were parsed.  Exit codes: 0 = ok, 1 = valid input
-with a negative answer, 2 = bad input, resource limits, interrupts, or
+with a negative answer, 2 = bad input, resource limits, interrupts, a report
+that standard output refuses (a `status: error` line then goes to stderr), or
 unknown commands (argparse prints usage to stderr for the latter)."""
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 
 from .graph import ResourceLimit, parse_edge_list, serialize_edge_list
@@ -21,6 +23,10 @@ from .solver import (minimum_detector_set, detector_set_within,
 from .extremal import enumerate_graphs, quasi_cubic_expand
 from . import reduction
 from . import grids
+
+
+class ReportUnwritten(Exception):
+    """Standard output refused the report; the OSError is the cause."""
 
 
 class Report:
@@ -43,10 +49,14 @@ class Report:
 
     def emit(self, status: str) -> None:
         self.add("status", status)
-        for key, value in self.lines:
-            print(f"{key}: {value}")
-        for text in self.tail:
-            print(text, end="" if text.endswith("\n") else "\n")
+        try:
+            for key, value in self.lines:
+                print(f"{key}: {value}")
+            for text in self.tail:
+                print(text, end="" if text.endswith("\n") else "\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ReportUnwritten(exc) from exc
 
     def finish(self, ok: bool) -> int:
         """Emit with status ok or fail; the exit code is 0 or 1 to match."""
@@ -128,7 +138,6 @@ def cmd_enumerate(args) -> int:
     for cg in found:
         report.add("graph", cg.manifest_line())
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         manifest_path = os.path.join(args.out, "manifest.txt")
         with open(manifest_path, "w", encoding="utf-8") as mh:
@@ -360,8 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReportUnwritten as exc:
+        # part of the report may be out already: no second status line there;
+        # on the process's own stdout, what stays buffered goes to os.devnull
+        # at the interpreter's exit
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write the report: {exc}\nstatus: error", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, ResourceLimit, MemoryError, RecursionError,

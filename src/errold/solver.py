@@ -6,12 +6,12 @@ One iterative branch-and-bound core answers both the minimisation and the
 decision "is there a set of size <= k?", serially or split over worker
 processes.
 
-The branch-and-bound search works on one list of requirements, compiled
-once per search from detection.requirements: at least `need` detectors in a
-vertex mask (N(v) for domination, N(u) symdiff N(v) for a symmetric pair),
-or, for a one-sided pair, at least `need` in N(u) - N(v) or in N(v) - N(u).
-A node is a pair of masks, the chosen and the undecided vertices; the rest
-are excluded.  Dominator sets only grow when detectors are added, so a
+The branch-and-bound search works on requirements compiled once per search
+from detection.requirements: at least `need` detectors in a vertex mask
+(N(v) for domination, N(u) symdiff N(v) for a symmetric pair), or, for a
+one-sided pair, at least `need` in N(u) - N(v) or in N(v) - N(u).  A node
+is a pair of masks, the chosen and the undecided vertices; the rest are
+excluded.  Dominator sets only grow when detectors are added, so a
 requirement with fewer than `need` vertices in chosen | undecided fails for
 every completion.  At each node the search
 
@@ -25,9 +25,16 @@ every completion.  At each node the search
     (undecided vertices beyond those it still needs), taking it before
     skipping it.
 
-A node with no unmet requirement is a leaf, and its chosen set is valid.
-The root's propagation fails iff S = V(G) does, which the minimisation
-verifies up front."""
+The chosen set only grows down a path, so a requirement met at a node is
+met below it.  Each node scans only the requirement lists its parent
+carried, in their order, and hands its children the ones it leaves unmet
+if they are at least a quarter shorter, else its parent's lists; so the
+lists held along a path sum to at most four times the root's.  A skip child
+propagates the carried lists: a met requirement fails nothing and forces
+nothing, so no per-vertex index of requirements is needed.  A node with no
+unmet requirement is a leaf, and its chosen set is valid.  The root's
+propagation fails iff S = V(G) does, so the search itself detects an
+infeasible graph."""
 
 from __future__ import annotations
 
@@ -131,11 +138,11 @@ def _solve_exhaustive(g: Graph, kind: DetectionKind,
 def _compile(g: Graph, kind: DetectionKind):
     """(reqs, root) for the search, or (None, None) if g admits no set.
 
-    reqs is (plain, either, touching): plain holds (mask, need); either
-    holds the one-sided pairs (a, b, need), each also relaxed into plain as
-    (a | b, need); touching[v] holds the (plain, either) whose masks hold v.
-    root is the propagated root (chosen, undecided).  Requirements the
-    root's forced detectors meet are met at every node and are left out."""
+    reqs is (plain, either): plain holds (mask, need); either holds the
+    one-sided pairs (a, b, need), each also relaxed into plain as
+    (a | b, need).  root is the propagated root (chosen, undecided).
+    Requirements the root's forced detectors meet are met at every node and
+    are left out."""
     plain, either = [], []
     for _, _, masks, need in requirements(g, kind):
         if len(masks) == 2:
@@ -152,14 +159,7 @@ def _compile(g: Graph, kind: DetectionKind):
              if (mask & chosen).bit_count() < need]
     either = [(a, b, need) for a, b, need in either
               if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need]
-    touching = [([], []) for _ in range(g.n)]
-    for req in plain:
-        for v in bits_to_list(req[0]):
-            touching[v][0].append(req)
-    for req in either:
-        for v in bits_to_list(req[0] | req[1]):
-            touching[v][1].append(req)
-    return (plain, either, touching), root
+    return (plain, either), root
 
 
 def _propagate(plain, either, chosen: int, undecided: int):
@@ -195,16 +195,17 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
              bound: int | None):
     """Propagate, bound and branch at a node whose parent was examined.
 
-    `skipped` is the vertex the node skipped, or -1 if it took one: a take
-    leaves avail as the parent left it, and a skip changes only the
-    requirements touching the skipped vertex.  Returns None if the node is
-    pruned, else (chosen, undecided, v) after propagation, with v the least
-    undecided vertex of the unmet requirement of least slack (the first on
-    ties), or None at a leaf.  The packing bound takes unmet requirements
+    reqs is the (plain, either) its parent carried.  `skipped` is the
+    vertex the node skipped, or -1 if it took one: a take leaves avail as
+    the parent left it, and a skip is propagated over reqs.  Returns None
+    if the node is pruned, else ((chosen, undecided, v), carried) after
+    propagation, with v the least undecided vertex of the unmet requirement
+    of least slack (the first on ties), or None at a leaf, and carried the
+    lists for its children.  The packing bound takes unmet requirements
     greedily in order."""
-    plain, either, touching = reqs
+    plain, either = reqs
     if skipped >= 0:
-        node = _propagate(*touching[skipped], chosen, undecided)
+        node = _propagate(plain, either, chosen, undecided)
         if node is None:
             return None
         chosen, undecided = node
@@ -213,9 +214,12 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
         return None
     used = extra = 0
     branch, least = 0, None
-    for mask, need in plain:
+    unmet_plain, unmet_either = [], []
+    for req in plain:
+        mask, need = req
         deficit = need - (mask & chosen).bit_count()
         if deficit > 0:
+            unmet_plain.append(req)
             free = mask & undecided
             if not free & used:
                 used |= free
@@ -223,8 +227,10 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
             slack = free.bit_count() - deficit
             if least is None or slack < least:
                 branch, least = free, slack
-    for a, b, need in either:
+    for req in either:
+        a, b, need = req
         if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need:
+            unmet_either.append(req)
             for mask in (a, b):
                 slack = (mask & (chosen | undecided)).bit_count() - need
                 if slack >= 0 and (least is None or slack < least):
@@ -232,8 +238,10 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
     if bound is not None and size + extra >= bound:
         return None
     if not branch:
-        return chosen, undecided, None
-    return chosen, undecided, (branch & -branch).bit_length() - 1
+        return (chosen, undecided, None), reqs
+    if 4 * (len(unmet_plain) + len(unmet_either)) <= 3 * (len(plain) + len(either)):
+        reqs = unmet_plain, unmet_either
+    return (chosen, undecided, (branch & -branch).bit_length() - 1), reqs
 
 
 def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
@@ -257,7 +265,8 @@ def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
         step = _examine(reqs, *node, limit)
         if step is None:
             return []
-        return None if step[2] is None else list(_children(*step))
+        node = step[0]
+        return None if node[2] is None else list(_children(*node))
 
     # 2 subtrees per worker, as each minimises without the others' bound
     results = run_tree(expand, functools.partial(
@@ -281,31 +290,32 @@ def _branch_and_bound(reqs, node, limit: int | None = None,
     Without a `limit` this minimises: after a hit only strictly smaller sets
     are hits.  With one it decides: only sets smaller than `limit` are hits,
     and the search stops at its first hit.  Returns (best set as a mask or
-    None, nodes explored).  The explicit stack of nodes, three ints each,
-    keeps the depth free of the recursion limit.  An interrupt becomes
-    SearchInterrupted."""
+    None, nodes explored).  The explicit stack of nodes, each three ints
+    after the lists its parent carried, keeps the depth free of the
+    recursion limit.  An interrupt becomes SearchInterrupted."""
     bound = limit
     best: int | None = None
     nodes = 0
-    stack = [node]
+    stack = [(reqs, *node)]
     try:
         while stack:
             node = stack.pop()
             nodes += 1
             if budget is not None and nodes > budget:
                 raise SearchBudgetExceeded(nodes - 1, *_best(best))
-            step = _examine(reqs, *node, bound)
+            step = _examine(*node, bound)
             if step is None:
                 continue
-            if step[2] is None:
-                best = step[0]
+            (chosen, undecided, v), carried = step
+            if v is None:
+                best = chosen
                 bound = best.bit_count()
                 if limit is not None:
                     break
                 continue
-            take, skip = _children(*step)
-            stack.append(skip)
-            stack.append(take)
+            take, skip = _children(chosen, undecided, v)
+            stack.append((carried, *skip))
+            stack.append((carried, *take))
     except KeyboardInterrupt:
         raise SearchInterrupted(nodes, *_best(best)) from None
     return best, nodes

@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -200,11 +201,17 @@ def test_interrupt_outside_the_serial_search_exits_two(capsys, files, monkeypatc
     assert rep["error"] == "interrupted"
 
 
-@pytest.mark.parametrize("module", ["errold", "errold.cli"])
-def test_python_dash_m_entry_point(module):
+def child_env():
+    """The environment for a child Python that imports this errold."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(errold.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+@pytest.mark.parametrize("module", ["errold", "errold.cli"])
+def test_python_dash_m_entry_point(module):
+    env = child_env()
     proc = subprocess.run([sys.executable, "-m", module, "--help"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0 and "usage: errold" in proc.stdout
@@ -212,15 +219,80 @@ def test_python_dash_m_entry_point(module):
 
 def test_import_does_not_load_the_process_pool():
     # the pool modules are imported only when --jobs starts workers
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(errold.__file__))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = child_env()
     code = ("import sys, errold.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+def cli_process(argv, stdout, unbuffered=True):
+    """`python -m errold argv` in a child with stdout on the given fd."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "errold", *map(str, argv)],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("target, argv", [
+    ("closed pipe", ["enumerate", "--n", 7, "--m", 11, "--min-degree", 3,
+                     "--predicate", "all"]),
+    ("/dev/full", ["grid-search", "--grid", "SQR", "--max-index", 4]),
+], ids=["closed-pipe", "dev-full"])
+def test_unwritable_stdout_exits_two(target, argv, unbuffered):
+    # `errold ... | head` after head has gone, and `errold ... > /dev/full`
+    if target == "closed pipe":
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    elif os.path.exists(target):
+        fd = os.open(target, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {target} here")
+    try:
+        proc = cli_process(argv, fd, unbuffered)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2
+    assert err.splitlines()[-1] == "status: error"
+    assert err.splitlines().count("status: error") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_report_cut_off_midway_gets_no_second_status_line():
+    # the reader takes the head of a report larger than the pipe holds and
+    # leaves, so the writer fails inside the figure, after `status: ok`
+    read_end, write_end = os.pipe()
+    proc = cli_process(["render", "--pattern", PATTERN_DIR / "sqr_7_8.pattern",
+                        "--window", 400], write_end, unbuffered=False)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        head = reader.read(4096).decode()
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 2
+    assert head.splitlines().count("status: ok") == 1 and "status: error" not in head
+    assert err.splitlines().count("status: error") == 1 and "Traceback" not in err
+
+
+def test_unwritable_redirected_stdout_exits_two(capsys, files, monkeypatch):
+    # an in-process caller's stdout that refuses the report: exit 2, and the
+    # process's own fd 1 is left alone
+    class Refusing(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", Refusing())
+    assert main(["solve", "--graph", str(files["petersen"]), "--kind", "old"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "status: error"
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -43,11 +43,19 @@ def test_heawood_err_old_is_fourteen():
     assert res.status == "optimal" and res.optimum == 14
 
 
+def gnp_24():
+    """G(24, 0.3), edges u < v drawn in lexicographic order from
+    random.Random(1): large enough that the carried lists shrink."""
+    return random_graph(24, 0.3, random.Random(1))
+
+
 @pytest.mark.parametrize("graph, kind, optimum, nodes", [
     (heawood_graph, OLD, 8, 589), (heawood_graph, RED_OLD, 12, 75),
     (heawood_graph, DET_OLD, 12, 75), (heawood_graph, ERR_OLD, 14, 1),
     (petersen_graph, OLD, 5, 37), (petersen_graph, RED_OLD, 8, 17),
     (petersen_graph, DET_OLD, 9, 19), (petersen_graph, ERR_OLD, 10, 1),
+    (gnp_24, OLD, 7, 1505), (gnp_24, RED_OLD, 9, 921),
+    (gnp_24, DET_OLD, 12, 1837), (gnp_24, ERR_OLD, 13, 231),
 ])
 def test_serial_search_is_pinned(graph, kind, optimum, nodes):
     # the serial report prints both numbers; a change to the search that
@@ -203,9 +211,11 @@ def completions(g, kind, chosen, undecided):
 
 
 def random_walks(rng, count, max_n):
-    """(graph, kind, compiled requirements, node) for the nodes on random
-    root-to-leaf walks through the search tree, one walk per kind on each
-    of `count` random graphs with a feasible root."""
+    """(graph, kind, compiled requirements, carried, node) for the nodes on
+    random root-to-leaf walks through the search tree, one walk per kind on
+    each of `count` random graphs with a feasible root; carried is the
+    requirement lists the node's parent handed it (the compiled ones at the
+    root)."""
     graphs = 0
     while graphs < count:
         g = random_graph(rng.randint(4, max_n), rng.uniform(0.3, 0.7), rng)
@@ -214,13 +224,13 @@ def random_walks(rng, count, max_n):
             continue
         graphs += 1
         for kind, reqs, root in roots:
-            node = None if root is None else (*root, -1)
+            node, carried = (None, None) if root is None else ((*root, -1), reqs)
             while node is not None:
-                yield g, kind, reqs, node
-                step = _examine(reqs, *node, None)
-                if step is None or step[2] is None:
+                yield g, kind, reqs, carried, node
+                step = _examine(carried, *node, None)
+                if step is None or step[0][2] is None:
                     break
-                node = rng.choice(_children(*step))
+                node, carried = rng.choice(_children(*step[0])), step[1]
 
 
 def test_propagation_is_sound():
@@ -228,12 +238,12 @@ def test_propagation_is_sound():
     # forces lies in every valid completion and a node it prunes has none
     rng = random.Random(41)
     pruned = forced = 0
-    for g, kind, reqs, (chosen, undecided, _) in random_walks(rng, 200, 8):
+    for g, kind, reqs, _, (chosen, undecided, _) in random_walks(rng, 200, 8):
         partial = chosen | rng.getrandbits(g.n) & undecided
         for s in (chosen, partial):
             rest = undecided & ~s & rng.getrandbits(g.n)
             valid = completions(g, kind, s, rest)
-            full = _propagate(*reqs[:2], s, rest)
+            full = _propagate(*reqs, s, rest)
             assert (full is None) == (not valid)
             if full is None:
                 pruned += 1
@@ -246,16 +256,48 @@ def test_propagation_is_sound():
 
 def test_examine_propagates_like_a_full_pass():
     # a take child needs no propagation, and a skip child only that of the
-    # requirements touching the skipped vertex
+    # requirements its parent left unmet
     rng = random.Random(46)
     skips = 0
-    for g, kind, reqs, node in random_walks(rng, 300, 12):
-        step = _examine(reqs, *node, None)
-        full = _propagate(*reqs[:2], *node[:2])
+    for g, kind, reqs, carried, node in random_walks(rng, 300, 12):
+        step = _examine(carried, *node, None)
+        full = _propagate(*reqs, *node[:2])
         assert (step is None) == (full is None)
-        assert step is None or step[:2] == full
+        assert step is None or step[0][:2] == full
         skips += node[2] >= 0
     assert skips > 500
+
+
+def test_carried_lists_examine_like_the_compiled_ones():
+    # a node examined on the lists its parent carried propagates, bounds and
+    # branches as on every compiled requirement, and the lists held along a
+    # walk sum to at most four times the root's
+    rng = random.Random(47)
+    shrunk = {kind.name: 0 for kind in ALL_KINDS}
+    bound_prunes = either = deepest = 0
+    held = []
+
+    def size(lists):
+        return len(lists[0]) + len(lists[1])
+
+    for g, kind, reqs, carried, node in random_walks(rng, 150, 20):
+        if carried is reqs:
+            held = []
+        if not any(carried is lists for lists in held):
+            held.append(carried)
+        assert sum(map(size, held)) <= 4 * size(reqs)
+        deepest = max(deepest, len(held))
+        shrunk[kind.name] += size(carried) < size(reqs)
+        either += len(carried[1]) < len(reqs[1])
+        for bound in (None, node[0].bit_count() + rng.randint(1, 4)):
+            step = _examine(carried, *node, bound)
+            full = _examine(reqs, *node, bound)
+            assert (step is None) == (full is None)
+            assert step is None or step[0] == full[0]
+            bound_prunes += bound is not None and full is None and \
+                _examine(reqs, *node, None) is not None
+    assert min(shrunk.values()) > 150 and either > 250 and bound_prunes > 800
+    assert deepest > 5
 
 
 def test_root_propagation_covers_the_degree_rule():
@@ -271,11 +313,11 @@ def test_root_propagation_covers_the_degree_rule():
 def test_packing_bound_never_exceeds_the_optimum():
     # a bound one above the least completion never prunes the node
     rng = random.Random(43)
-    for g, kind, reqs, node in random_walks(rng, 150, 8):
+    for g, kind, _, carried, node in random_walks(rng, 150, 8):
         valid = completions(g, kind, node[0], node[1])
         if valid:
             least = min(s.bit_count() for s in valid)
-            assert _examine(reqs, *node, least + 1) is not None
+            assert _examine(carried, *node, least + 1) is not None
 
 
 def test_branch_and_bound_matches_exhaustive():
