@@ -102,7 +102,7 @@ def cmd_solve(args) -> int:
     report = Report("solve")
     g = parse_edge_list(report.read("graph", args.graph))
     kind = kind_from_flag(args.kind)
-    res = minimum_detector_set(g, kind, budget=args.budget, jobs=args.jobs)
+    res = minimum_detector_set(g, kind, budget=args.budget)
     report.add("kind", kind)
     report.add("result", res.status)
     if res.status == "optimal":
@@ -117,7 +117,7 @@ def cmd_decide(args) -> int:
     g = parse_edge_list(report.read("graph", args.graph))
     kind = kind_from_flag(args.kind)
     feasible = verify(g, g.full_mask(), kind).ok
-    answer = detector_set_within(g, kind, args.k, jobs=args.jobs) is not None
+    answer = detector_set_within(g, kind, args.k) is not None
     report.add("kind", kind)
     report.add("k", args.k)
     if not feasible:
@@ -203,7 +203,7 @@ def cmd_gadget_check(args) -> int:
 def cmd_roundtrip(args) -> int:
     report = Report("roundtrip")
     formula = reduction.parse_dimacs_cnf(report.read("cnf", args.cnf))
-    check = reduction.roundtrip_check(formula, jobs=args.jobs)
+    check = reduction.roundtrip_check(formula)
     report.add("satisfiable", str(check.satisfiable).lower())
     report.add("detector-set-within-budget", str(check.found).lower())
     report.add("K", check.k)
@@ -306,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     graph_flag(p)
     kind_flag(p)
     p.add_argument("--budget", type=int, default=None, help="node limit")
-    jobs_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("decide", help="is there a detector set of size <= k")
     graph_flag(p)
     kind_flag(p)
     p.add_argument("--k", type=int, required=True)
-    jobs_flag(p)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("enumerate", help="non-isomorphic graphs, optionally filtered")
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="SAT vs budgeted detector-set equivalence")
     p.add_argument("--cnf", required=True)
-    jobs_flag(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("grid-certify", help="certify a periodic pattern")
@@ -389,8 +386,8 @@ def _run(args) -> int:
         return args.func(args)
     except (OSError, ValueError, ResourceLimit, MemoryError, RecursionError,
             SearchBudgetExceeded, KeyboardInterrupt) as exc:
-        # a bare KeyboardInterrupt is Ctrl-C outside the serial search, e.g.
-        # while --jobs workers run; the serial search raises SearchInterrupted
+        # the search raises SearchInterrupted; a bare KeyboardInterrupt is
+        # Ctrl-C outside it, e.g. while enumeration workers run
         report = Report(args.cmd)
         report.add("error", "interrupted" if isinstance(exc, KeyboardInterrupt)
                    else exc)

@@ -237,7 +237,7 @@ def enumerate_graphs(n: int, edge_count: int | None = None,
     complete = functools.partial(_complete, n=n, bounds=bounds,
                                  min_degree=min_degree, predicate=predicate)
     root = CanonicalGraph(Graph(0), ())
-    found = [cg for chunk in run_tree(expand, complete, root, jobs, 4) for cg in chunk]
+    found = [cg for chunk in run_tree(expand, complete, root, jobs) for cg in chunk]
     return sorted(found, key=lambda cg: cg.encoding)
 
 

@@ -359,8 +359,7 @@ def decode_assignment(inst: ReductionInstance, detector_set) -> dict[int, bool]:
     return assignment
 
 
-def find_detector_set_within_budget(inst: ReductionInstance,
-                                    jobs: int = 1) -> set[int] | None:
+def find_detector_set_within_budget(inst: ReductionInstance) -> set[int] | None:
     """Budgeted decision on the compiled instance: the first ERR:OLD set of
     size <= K that the solver's branch-and-bound core finds, or None.
 
@@ -370,7 +369,7 @@ def find_detector_set_within_budget(inst: ReductionInstance,
     the tension and clause vertices leave no choice about; it starts with
     the size bound K + 1 and stops at its first hit.  Any hit has size
     exactly K: each variable's tension vertices need one of its literals."""
-    return detector_set_within(inst.graph, ERR_OLD, inst.k, jobs=jobs)
+    return detector_set_within(inst.graph, ERR_OLD, inst.k)
 
 
 @dataclass(frozen=True)
@@ -385,10 +384,10 @@ class RoundTrip:
         return self.satisfiable == self.found
 
 
-def roundtrip_check(formula: CnfFormula, jobs: int = 1) -> RoundTrip:
+def roundtrip_check(formula: CnfFormula) -> RoundTrip:
     """The SAT oracle's size limit is the only one, and it is checked before
     the instance is built or searched."""
     _check_sat_size(formula)
     inst = build_instance(formula)
-    found = find_detector_set_within_budget(inst, jobs=jobs) is not None
+    found = find_detector_set_within_budget(inst) is not None
     return RoundTrip(sat_brute_force(formula)[0], found, inst.k)

@@ -3,8 +3,7 @@
 Two strategies are offered: an exhaustive search that tries subsets in
 size-then-lexicographic order (the oracle), and a branch-and-bound search.
 One iterative branch-and-bound core answers both the minimisation and the
-decision "is there a set of size <= k?", serially or split over worker
-processes.
+decision "is there a set of size <= k?".
 
 The branch-and-bound search works on requirements compiled once per search
 from detection.requirements: at least `need` detectors in a vertex mask
@@ -38,12 +37,10 @@ infeasible graph."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, bits_to_list
-from .parallel import run_tree
 from .detection import DetectionKind, requirements, verify
 
 
@@ -62,10 +59,6 @@ class SearchBudgetExceeded(Exception):
             + (f"; best detector set so far has size {best_size}"
                if best_size is not None else "; no detector set found yet"))
 
-    def __reduce__(self):
-        # lets a worker's budget error reach the parent process
-        return (type(self), (self.nodes_explored, self.best_size, self.best_set))
-
 
 class SearchInterrupted(SearchBudgetExceeded):
     """The search was interrupted (Ctrl-C); carries the best bound so far."""
@@ -83,15 +76,11 @@ class SolveResult:
 
 def minimum_detector_set(g: Graph, kind: DetectionKind,
                          strategy: str = "branch-and-bound",
-                         budget: int | None = None,
-                         jobs: int = 1) -> SolveResult:
+                         budget: int | None = None) -> SolveResult:
     """Minimum-cardinality detector set of the given kind, or infeasible.
 
     Infeasibility is decided up front on S = V(G), which is conclusive by
-    monotonicity.  With jobs > 1 the branch-and-bound search is split across
-    worker processes; the result is identical to the serial search except
-    for the advisory nodes_explored counter.
-    """
+    monotonicity."""
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be non-negative, got {budget}")
     if not verify(g, g.full_mask(), kind).ok:
@@ -99,7 +88,7 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     if strategy == "exhaustive":
         return _solve_exhaustive(g, kind, budget)
     if strategy == "branch-and-bound":
-        best, nodes = _search(g, kind, budget=budget, jobs=jobs)
+        best, nodes = _search(g, kind, budget=budget)
         if best is None:
             return SolveResult("infeasible", nodes_explored=nodes)
         return SolveResult("optimal", best.bit_count(),
@@ -107,14 +96,13 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def detector_set_within(g: Graph, kind: DetectionKind, k: int,
-                        jobs: int = 1) -> set[int] | None:
+def detector_set_within(g: Graph, kind: DetectionKind, k: int) -> set[int] | None:
     """The first detector set of size <= k in branch order, or None.
 
     The search stops at its first hit, so the set need not be minimum."""
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
-    best, _ = _search(g, kind, limit=k + 1, jobs=jobs)
+    best, _ = _search(g, kind, limit=k + 1)
     return None if best is None else set(bits_to_list(best))
 
 
@@ -245,36 +233,13 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
 
 
 def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
-            budget: int | None = None, jobs: int = 1) -> tuple[int | None, int]:
-    """Run the core on the subtrees of parallel.run_tree's frontier, with
-    the budget applying to each subtree: the root alone when jobs == 1.
-
-    The tree below a node depends on that node alone, and the bound prunes
-    no set smaller than itself, so the serial answer is the first hit in
-    preorder of least size (of any size below `limit` if one is given).
-    The frontier is in preorder and keeps its leaves, so the split takes
-    the answer from the subtrees' hits in frontier order."""
+            budget: int | None = None) -> tuple[int | None, int]:
+    """(best set as a mask or None, nodes explored) of the core run from
+    the propagated root; a root whose propagation fails is one node."""
     reqs, root = _compile(g, kind)
     if root is None:
         return None, 1
-    expanded = 0
-
-    def expand(node):
-        nonlocal expanded
-        expanded += 1
-        step = _examine(reqs, *node, limit)
-        if step is None:
-            return []
-        node = step[0]
-        return None if node[2] is None else list(_children(*node))
-
-    # 2 subtrees per worker, as each minimises without the others' bound
-    results = run_tree(expand, functools.partial(
-        _branch_and_bound, reqs, limit=limit, budget=budget), (*root, -1), jobs, 2)
-    hits = [best for best, _ in results if best is not None]
-    if limit is None:
-        hits.sort(key=int.bit_count)       # stable: the first of least size
-    return next(iter(hits), None), expanded + sum(count for _, count in results)
+    return _branch_and_bound(reqs, (*root, -1), limit, budget)
 
 
 def _children(chosen: int, undecided: int, v: int):

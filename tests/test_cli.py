@@ -136,16 +136,6 @@ def test_parser_survives_a_rejected_command_line(capsys, files):
     assert rep["kind"] == "ERR:OLD" and "budget" not in out
 
 
-def test_budget_exhaustion_under_jobs(capsys, tmp_path):
-    hw = tmp_path / "heawood.el"
-    hw.write_text(serialize_edge_list(heawood_graph()))
-    code, out = run(capsys, "solve", "--graph", hw, "--kind", "old",
-                    "--budget", "10", "--jobs", "2")
-    rep = report_dict(out)
-    assert code == 2 and rep["status"] == "error"
-    assert "budget" in rep["error"] and rep["nodes-explored"] == "10"
-
-
 def test_search_deeper_than_recursion_limit(capsys, tmp_path):
     # C_n(1,2) is 4-regular, so OLD forces nothing at the root, and the
     # take-first path chooses one vertex per level until nearly all n are
@@ -194,8 +184,7 @@ def test_interrupt_outside_the_serial_search_exits_two(capsys, files, monkeypatc
         raise KeyboardInterrupt
 
     monkeypatch.setattr(errold.cli, "minimum_detector_set", interrupt)
-    code, out = run(capsys, "solve", "--graph", files["petersen"], "--kind", "err",
-                    "--jobs", "2")
+    code, out = run(capsys, "solve", "--graph", files["petersen"], "--kind", "err")
     rep = report_dict(out)
     assert code == 2 and rep["command"] == "solve" and rep["status"] == "error"
     assert rep["error"] == "interrupted"
@@ -304,10 +293,28 @@ def test_unwritable_redirected_stdout_exits_two(capsys, files, monkeypatch):
     ["grid-search", "--grid", "SQR", "--max-index", "2"],
 ])
 def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
+    # enumerate and grid-search reject the count; the branch-and-bound
+    # commands take no --jobs at all
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", jobs])
     assert exc.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
+    if argv[0] in ("enumerate", "grid-search"):
+        assert "positive integer" in capsys.readouterr().err
+    else:
+        assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "g.el", "--kind", "err"],
+    ["decide", "--graph", "g.el", "--kind", "err", "--k", "3"],
+    ["roundtrip", "--cnf", "f.cnf"],
+], ids=lambda argv: argv[0])
+def test_branch_and_bound_commands_take_no_jobs(capsys, argv):
+    # one serial search: --jobs is an unrecognised argument there
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

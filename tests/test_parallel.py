@@ -19,7 +19,7 @@ def test_one_job_runs_in_this_process():
 def test_one_task_runs_in_this_process():
     # a root that stays is a frontier of one task, which starts no pool
     # even under jobs=2: only an in-process run can call the lambda
-    assert run_tree(lambda node: None, lambda node: node + 1, 1, 2, 4) == [2]
+    assert run_tree(lambda node: None, lambda node: node + 1, 1, 2) == [2]
     assert run_tasks(lambda x: x + 1, [1], 2) == [2]
 
 
@@ -66,15 +66,14 @@ def test_run_tree_frontier(monkeypatch):
             return None
         return [node + "0", node + "1"]
 
-    def frontier(cpus, jobs, per_worker=4):
+    def frontier(cpus, jobs):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         expanded.clear()
-        return run_tree(expand, lambda node: node, "", jobs, per_worker)
+        return run_tree(expand, lambda node: node, "", jobs)
 
     assert frontier(2, 1) == [""] and expanded == []
-    # per_worker tasks per worker started, however many jobs are asked for
+    # 4 tasks per worker started, however many jobs are asked for
     assert frontier(1, 64) == ["00", "01", "10", "11"]
-    assert frontier(2, 64, per_worker=2) == frontier(1, 64)
     assert frontier(2, 64) == ["00", "0100", "0101", "0110", "0111",
                                "1100", "1101", "1110", "1111"]
     assert frontier(2, 2) == frontier(2, 64)

@@ -271,11 +271,3 @@ def test_restricted_search_minimality():
             for var in inst.variables:
                 assert len(s & {var.x, var.xbar}) == 1
             assert f.satisfied_by(decode_assignment(inst, s))
-
-
-def test_restricted_search_parallel_matches():
-    f = CnfFormula(3, ((1, 2, 3), (-1, -2, -3)))
-    inst = build_instance(f)
-    serial = find_detector_set_within_budget(inst, jobs=1)
-    parallel = find_detector_set_within_budget(inst, jobs=2)
-    assert serial == parallel

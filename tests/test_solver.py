@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 
 import pytest
@@ -165,16 +164,6 @@ def test_budget_exhaustion_carries_bound():
         minimum_detector_set(g, OLD, budget=-1)
 
 
-def test_parallel_matches_serial():
-    for g in (petersen_graph(), random_graph(11, 0.5, random.Random(17))):
-        for kind in ALL_KINDS:
-            serial = minimum_detector_set(g, kind, jobs=1)
-            parallel = minimum_detector_set(g, kind, jobs=2)
-            assert (serial.status, serial.optimum) == (parallel.status, parallel.optimum)
-            if serial.status == "optimal":
-                assert serial.witness == parallel.witness
-
-
 def test_decision_agrees_with_minimisation():
     family = err_old_family() + [complete_graph(4), random_graph(9, 0.4, random.Random(18))]
     for g in family:
@@ -184,15 +173,6 @@ def test_decision_agrees_with_minimisation():
                 expect = res.status == "optimal" and res.optimum <= k
                 assert (detector_set_within(g, kind, k) is not None) == expect, \
                     (g, kind, k)
-
-
-def test_parallel_decision_matches_serial():
-    g = err_old_family()[-1]
-    for kind in (OLD, ERR_OLD):
-        res = minimum_detector_set(g, kind)
-        for k in (res.optimum - 1, res.optimum, res.optimum + 2):
-            assert detector_set_within(g, kind, k, jobs=2) == \
-                detector_set_within(g, kind, k)
 
 
 # -- the requirement-driven core against brute force ----------------------------
@@ -333,30 +313,3 @@ def test_branch_and_bound_matches_exhaustive():
                 assert verify(g, b.witness, kind, strategy="naive").ok
             outcomes.add(b.status)
     assert outcomes == {"optimal", "infeasible"}
-
-
-@pytest.mark.parametrize("frontier", [4, 32, 256])
-def test_split_at_any_frontier_size_reproduces_the_serial_answer(monkeypatch, frontier):
-    # the --jobs split run in this process, on the frontier that
-    # frontier / 2 workers would get, larger than this machine's CPUs give
-    import errold.parallel
-    rng = random.Random(45 + frontier)
-    cases = [(random_graph(rng.randint(10, 16), rng.uniform(0.3, 0.7), rng), kind)
-             for _ in range(15) for kind in ALL_KINDS]
-    serial = [(minimum_detector_set(g, kind).witness,
-               [detector_set_within(g, kind, k) for k in range(g.n + 1)])
-              for g, kind in cases]
-    sizes = []
-
-    def in_process(fn, tasks, jobs):
-        sizes.append(len(tasks))
-        return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(os, "cpu_count", lambda: frontier // 2)
-    monkeypatch.setattr(errold.parallel, "run_tasks", in_process)
-    split = [(minimum_detector_set(g, kind, jobs=256).witness,
-              [detector_set_within(g, kind, k, jobs=256) for k in range(g.n + 1)])
-             for g, kind in cases]
-    assert split == serial
-    assert any(witness is not None for witness, _ in serial)
-    assert max(sizes) >= frontier
