@@ -231,7 +231,7 @@ def cmd_grid_certify(args) -> int:
 def cmd_grid_search(args) -> int:
     report = Report("grid-search")
     kind = grids.GRID_KINDS[args.grid]
-    best = grids.search_patterns(kind, args.max_index, jobs=args.jobs)
+    best = grids.search_patterns(kind, args.max_index)
     report.add("grid", kind.name)
     report.add("max-index", args.max_index)
     if best is None:
@@ -288,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     def kind_flag(p):
         p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
 
-    def jobs_flag(p):
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes, capped at the CPU count (default 1)")
-
     p = sub.add_parser("verify", help="check a detector set")
     graph_flag(p)
     p.add_argument("--set", required=True, help="detector-set file")
@@ -320,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", choices=["err", "all"], default="err")
     p.add_argument("--min-degree", type=int, default=0)
     p.add_argument("--out", default=None, help="directory for edge-list files + manifest")
-    jobs_flag(p)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, capped at the CPU count (default 1)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("expand", help="quasi-cubic expansion of a cubic graph")
@@ -350,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="minimum-density certified pattern")
     p.add_argument("--grid", required=True, choices=["SQR", "TRI", "KNG"])
     p.add_argument("--max-index", type=int, required=True)
-    jobs_flag(p)
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("grid-share", help="share diagnostics of a certified pattern")

@@ -296,7 +296,7 @@ def _children(parent: CanonicalGraph, n: int, bounds: tuple[int, int],
         sub = sub - 1 & free
 
 
-def smallest_supporting_edge_count(n: int, jobs: int = 1) -> tuple[int, list[CanonicalGraph]]:
+def smallest_supporting_edge_count(n: int) -> tuple[int, list[CanonicalGraph]]:
     """Minimal edge count m for which some n-vertex graph supports an
     error-correcting detector set, with all witnesses up to isomorphism.
 
@@ -306,8 +306,7 @@ def smallest_supporting_edge_count(n: int, jobs: int = 1) -> tuple[int, list[Can
         raise ResourceLimit(f"supported for 7 <= n <= {MAX_CANONICAL_N}, got {n}")
     total = n * (n - 1) // 2
     for m in range((3 * n + 1) // 2, total + 1):
-        hits = enumerate_graphs(n, m, predicate=exists_err_old,
-                                min_degree=3, jobs=jobs)
+        hits = enumerate_graphs(n, m, predicate=exists_err_old, min_degree=3)
         if hits:
             return m, hits
     raise AssertionError(f"no supporting graph found for n={n}")

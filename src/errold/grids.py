@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 import itertools
-from operator import attrgetter, or_
+from operator import or_
 
 from .graph import Graph, ParseError
-from .parallel import pool_size, run_tasks
 
 SQR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 TRI_OFFSETS = SQR_OFFSETS + ((1, 1), (-1, -1))
@@ -222,18 +221,6 @@ def detector_shares(p: PeriodicPattern) -> list[Fraction]:
             for x, y in sorted(p.detectors)]
 
 
-def max_share(p: PeriodicPattern) -> Fraction:
-    """Maximum share over detector classes (a certified pattern has at
-    least one detector)."""
-    return max(detector_shares(p))
-
-
-def share_sum(p: PeriodicPattern) -> Fraction:
-    """Sum of shares over detector classes; equals the lattice index for any
-    certified pattern (each class u contributes dom(u) * 1/dom(u))."""
-    return sum(detector_shares(p), Fraction(0))
-
-
 # -- search ----------------------------------------------------------------------
 
 MAX_SEARCH_INDEX = 18
@@ -273,8 +260,7 @@ def _first_in_orbit(basis, group) -> bool:
     return True
 
 
-def search_patterns(kind: GridKind, max_index: int,
-                    jobs: int = 1) -> PeriodicPattern | None:
+def search_patterns(kind: GridKind, max_index: int) -> PeriodicPattern | None:
     """Certified pattern of minimum density over all lattices of index up to
     max_index and all detector subsets; ties prefer the smaller index, then
     the earlier Hermite basis, then the lexicographically first detector set.
@@ -283,28 +269,17 @@ def search_patterns(kind: GridKind, max_index: int,
     has a certified translate whose detector list starts at the least
     residue, and that translate is lexicographically no larger.  Only the
     first lattice of each point-group orbit is searched: the others reach
-    the same density and come later in the tie order.  Each strided share
-    of the lattices (one per worker) searches a lattice only below its best
-    density so far, so it still finds its first lattice of least density."""
+    the same density and come later in the tie order.  Each lattice is
+    searched only below the best density so far, so the first lattice of
+    least density keeps its pattern."""
     if not 1 <= max_index <= MAX_SEARCH_INDEX:
         raise PatternError(f"exhaustive search supports 1 <= index <= {MAX_SEARCH_INDEX}")
     group = point_group(kind)
-    tasks = [(kind, basis) for index in range(1, max_index + 1)
-             for basis in hermite_bases(index) if _first_in_orbit(basis, group)]
-    count = pool_size(jobs, len(tasks))
-    found = run_tasks(_search_share, [tasks[k::count] for k in range(count)], jobs)
-    # every lattice has a certified pattern (all residues), so no share comes
-    # back empty; the answer is the least dense that comes first in task
-    # order, which sorts lattices by index, then Hermite basis
-    found = sorted(found, key=attrgetter("index", "basis"))
-    return min(found, key=pattern_density)
-
-
-def _search_share(tasks):
-    # the first pattern of least density on the lattices `tasks`, in order
     best = None
-    for task in tasks:
-        best = _search_basis(task, best and pattern_density(best)) or best
+    for index in range(1, max_index + 1):
+        for basis in hermite_bases(index):
+            if _first_in_orbit(basis, group):
+                best = _search_basis(kind, basis, best and pattern_density(best)) or best
     return best
 
 
@@ -332,11 +307,10 @@ def requirement_masks(p: PeriodicPattern) -> list[tuple[int, int, int]]:
     return list(requirements)
 
 
-def _search_basis(args, below=None) -> PeriodicPattern | None:
+def _search_basis(kind: GridKind, basis, below=None) -> PeriodicPattern | None:
     """Lowest-density certified pattern on one lattice, if below `below`,
     detectors tried in size-then-lexicographic order and screened with
     `requirement_masks`; only the pattern returned is certified."""
-    kind, basis = args
     probe = PeriodicPattern(kind, basis, frozenset())
     index = probe.index
     # 3*index <= |detectors|*|offsets| as every class needs 3 detector

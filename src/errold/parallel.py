@@ -1,7 +1,6 @@
-"""The one process fan-out and the one tree split behind every `--jobs`
-option: `spawn` workers, never more than tasks or CPUs, with the pool
-modules imported only when a pool starts, so importing the toolkit stays
-cheap."""
+"""The process fan-out and the tree split behind `enumerate --jobs`:
+`spawn` workers, never more than tasks or CPUs, with the pool modules
+imported only when a pool starts, so importing the toolkit stays cheap."""
 
 from __future__ import annotations
 

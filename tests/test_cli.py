@@ -293,12 +293,11 @@ def test_unwritable_redirected_stdout_exits_two(capsys, files, monkeypatch):
     ["grid-search", "--grid", "SQR", "--max-index", "2"],
 ])
 def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
-    # enumerate and grid-search reject the count; the branch-and-bound
-    # commands take no --jobs at all
+    # enumerate rejects the count; the serial commands take no --jobs at all
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", jobs])
     assert exc.value.code == 2
-    if argv[0] in ("enumerate", "grid-search"):
+    if argv[0] == "enumerate":
         assert "positive integer" in capsys.readouterr().err
     else:
         assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
@@ -308,8 +307,9 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
     ["solve", "--graph", "g.el", "--kind", "err"],
     ["decide", "--graph", "g.el", "--kind", "err", "--k", "3"],
     ["roundtrip", "--cnf", "f.cnf"],
+    ["grid-search", "--grid", "SQR", "--max-index", "2"],
 ], ids=lambda argv: argv[0])
-def test_branch_and_bound_commands_take_no_jobs(capsys, argv):
+def test_serial_commands_take_no_jobs(capsys, argv):
     # one serial search: --jobs is an unrecognised argument there
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", "2"])
@@ -333,11 +333,11 @@ def test_negative_size_exits_two(capsys, files, argv):
 
 
 def test_dead_worker_exits_two(capsys, monkeypatch):
-    import errold.grids
-    from errold.parallel import run_tasks
-    monkeypatch.setattr(errold.grids, "run_tasks",
+    import errold.parallel
+    run_tasks = errold.parallel.run_tasks
+    monkeypatch.setattr(errold.parallel, "run_tasks",
                         lambda fn, tasks, jobs: run_tasks(os._exit, [3] * len(tasks), jobs))
-    code, out = run(capsys, "grid-search", "--grid", "SQR", "--max-index", "2",
+    code, out = run(capsys, "enumerate", "--n", "6", "--m", "9", "--min-degree", "3",
                     "--jobs", "2")
     rep = report_dict(out)
     assert code == 2 and rep["status"] == "error" and "worker" in rep["error"]

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,10 +6,9 @@ from pathlib import Path
 import pytest
 
 from errold.detection import verify, ERR_OLD
-from errold import grids
 from errold.grids import (SQR, TRI, KNG, PeriodicPattern, PatternError, GridCertificate,
                           MAX_PATTERN_INDEX, MAX_RENDER_WINDOW,
-                          pattern_density, certify_pattern, max_share, share_sum,
+                          pattern_density, certify_pattern, detector_shares,
                           hermite_bases, hermite_form, point_group,
                           requirement_masks, search_patterns, _search_basis,
                           torus_graph, parse_pattern, serialize_pattern,
@@ -308,28 +306,29 @@ def test_basis_invariance():
 
 def test_share_examples():
     full = PeriodicPattern(SQR, ((1, 0), (0, 1)), frozenset([(0, 0)]))
-    assert max_share(full) == 1
+    assert max(detector_shares(full)) == 1
     pats = saved_patterns()
-    assert max_share(pats["sqr_7_8"]) >= Fraction(8, 7)    # max >= mean = 1/density
+    assert max(detector_shares(pats["sqr_7_8"])) >= Fraction(8, 7)    # max >= mean = 1/density
 
 
 def test_share_sum_identity():
+    # each class u gives dom(u) * 1/dom(u) to the shares of its dominators
     for pat in saved_patterns().values():
-        assert share_sum(pat) == pat.index
+        assert sum(detector_shares(pat)) == pat.index
     rng = random.Random(44)
     certified = 0
     for _ in range(600):
         p = random_pattern(rng, max_dim=3)
         if certify_pattern(p).ok:
             certified += 1
-            assert share_sum(p) == p.index
+            assert sum(detector_shares(p)) == p.index
     assert certified > 40
 
 
 def test_share_requires_certified():
     bad = PeriodicPattern(SQR, ((2, 0), (0, 2)), frozenset([(0, 0)]))
     with pytest.raises(PatternError, match="certified"):
-        max_share(bad)
+        detector_shares(bad)
 
 
 # -- search -------------------------------------------------------------------------------
@@ -367,16 +366,16 @@ def test_search_basis_matches_certify_loop(kind, max_index):
     for index in range(1, max_index + 1):
         for basis in hermite_bases(index):
             best = certify_loop(kind, basis)
-            assert _search_basis((kind, basis)) == best, basis
+            assert _search_basis(kind, basis) == best, basis
             if best is not None:
-                assert _search_basis((kind, basis), pattern_density(best)) is None, basis
+                assert _search_basis(kind, basis, pattern_density(best)) is None, basis
                 above = pattern_density(best) + Fraction(1, 1000)
-                assert _search_basis((kind, basis), above) == best, basis
+                assert _search_basis(kind, basis, above) == best, basis
 
 
 @pytest.mark.parametrize("kind,max_index", SEARCH_BOUNDS, ids=lambda v: getattr(v, "name", v))
 def test_orbit_skipping_matches_all_bases(kind, max_index):
-    every = [_search_basis((kind, basis)) for index in range(1, max_index + 1)
+    every = [_search_basis(kind, basis) for index in range(1, max_index + 1)
              for basis in hermite_bases(index)]
     assert search_patterns(kind, max_index) == min(every, key=pattern_density)
 
@@ -424,30 +423,6 @@ def test_search_cap():
     for max_index in (40, 0, -3):
         with pytest.raises(PatternError, match="index"):
             search_patterns(SQR, max_index)
-
-
-def test_share_split_matches_serial(monkeypatch):
-    """Two and three worker processes, then two to eleven shares run in
-    this process, also on searches where many lattices tie at the least
-    density (KNG@10, TRI@6): every split returns the serial pattern."""
-    searches = [(KNG, 13), (TRI, 12), (KNG, 10), (TRI, 6)]
-    serial = [serialize_pattern(search_patterns(kind, max_index)) for kind, max_index in searches]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    for (kind, max_index), expected in zip(searches[:2], serial):
-        for jobs in (2, 3):
-            assert serialize_pattern(search_patterns(kind, max_index, jobs=jobs)) == expected
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(grids, "run_tasks", lambda fn, tasks, jobs: list(map(fn, tasks)))
-    for (kind, max_index), expected in zip(searches, serial):
-        for jobs in range(2, 12):
-            assert serialize_pattern(search_patterns(kind, max_index, jobs=jobs)) == expected
-
-
-def test_search_parallel_matches_serial():
-    a = search_patterns(TRI, 7, jobs=1)
-    b = search_patterns(TRI, 7, jobs=2)
-    assert pattern_density(a) == pattern_density(b)
-    assert a.basis == b.basis and a.detectors == b.detectors
 
 
 # -- files and rendering ----------------------------------------------------------------------
