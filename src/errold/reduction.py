@@ -320,13 +320,17 @@ def _check_sat_size(formula: CnfFormula) -> None:
 
 
 def sat_brute_force(formula: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
-    """Exhaustive truth-table satisfiability check."""
+    """Exhaustive truth-table satisfiability check: the first satisfying
+    assignment in counting order, with bit v - 1 of the count as variable v."""
     n = formula.num_variables
     _check_sat_size(formula)
+    # a clause holds iff bits set a positive variable or clear a negated one
+    masks = [(sum(1 << (l - 1) for l in clause if l > 0),
+              sum(1 << (-l - 1) for l in clause if l < 0))
+             for clause in formula.clauses]
     for bits in range(1 << n):
-        assignment = {v: bool(bits >> (v - 1) & 1) for v in range(1, n + 1)}
-        if formula.satisfied_by(assignment):
-            return True, assignment
+        if all(bits & pos or ~bits & neg for pos, neg in masks):
+            return True, {v: bool(bits >> (v - 1) & 1) for v in range(1, n + 1)}
     return False, None
 
 

@@ -333,9 +333,9 @@ def test_negative_size_exits_two(capsys, files, argv):
 
 
 def test_dead_worker_exits_two(capsys, monkeypatch):
-    import errold.parallel
-    run_tasks = errold.parallel.run_tasks
-    monkeypatch.setattr(errold.parallel, "run_tasks",
+    import errold.extremal
+    run_tasks = errold.extremal.run_tasks
+    monkeypatch.setattr(errold.extremal, "run_tasks",
                         lambda fn, tasks, jobs: run_tasks(os._exit, [3] * len(tasks), jobs))
     code, out = run(capsys, "enumerate", "--n", "6", "--m", "9", "--min-degree", "3",
                     "--jobs", "2")

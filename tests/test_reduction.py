@@ -176,6 +176,18 @@ def test_sat_brute_force():
     assert sat and FIG6.satisfied_by(a)
 
 
+def test_sat_brute_force_matches_the_truth_table():
+    # the first assignment, in bit order, that satisfied_by accepts
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        f = random_formula(rng, n, rng.randint(1, 5 * n))
+        table = ({v: bool(bits >> (v - 1) & 1) for v in range(1, n + 1)}
+                 for bits in range(1 << n))
+        first = next((a for a in table if f.satisfied_by(a)), None)
+        assert sat_brute_force(f) == (first is not None, first)
+
+
 def test_sat_brute_force_cap():
     f = random_formula(random.Random(0), 26, 1)
     with pytest.raises(ResourceLimit):
