@@ -114,41 +114,46 @@ def verify(g: Graph, detectors, kind: DetectionKind,
     return Verdict(True) if failure is None else Verdict(False, *failure)
 
 
-def requirements(g: Graph, kind: DetectionKind, pairs=None):
-    """Every requirement of `kind` on g, lazily and in verification order, as
-    (vertex, pair, masks, need): the detectors in at least one of `masks`
-    must number `need` or more.
+def requirements(g: Graph, kind: DetectionKind, pairs=None, met=0):
+    """The requirements of `kind` on g that the detector mask `met` leaves
+    unmet, lazily and in verification order, as (vertex, pair, masks, need):
+    the detectors in at least one of `masks` must number `need` or more.
+    With met = 0 that is every requirement.
 
     Vertex v needs min_domination detectors in N(v).  A pair (u, v) needs
     distinguish_threshold detectors in N(u) symdiff N(v) when the kind is
     symmetric, and that many in N(u) - N(v) or in N(v) - N(u) when it is
     one-sided.  Vertices come first in increasing order, then `pairs` in
-    order; `pairs` defaults to the pairs at distance <= 2: once domination
-    holds, a pair at distance >= 3 has disjoint dominator sets whose
-    difference is already dom(u) + dom(v) >= 2d >= t for every supported
-    kind."""
+    order; `pairs` defaults to the pairs at distance <= 2, walked from the
+    rows as they are needed: once domination holds, a pair at distance >= 3
+    has disjoint dominator sets whose difference is already
+    dom(u) + dom(v) >= 2d >= t for every supported kind.  A requirement
+    that `met` meets is skipped before its masks are built into a tuple."""
     adj = g.adj
     d, t = kind.min_domination, kind.distinguish_threshold
-    for v in range(g.n):
-        yield v, None, (adj[v],), d
+    for v, row in enumerate(adj):
+        if (row & met).bit_count() < d:
+            yield v, None, (row,), d
     if pairs is None:
-        pairs = g.pairs_within_distance_two()
+        pairs = g.iter_pairs_within_distance_two()
     one_sided = kind.mode == ONE_SIDED
     for u, v in pairs:
         a, b = adj[u], adj[v]
-        yield None, (u, v), (a & ~b, b & ~a) if one_sided else (a ^ b,), t
+        if one_sided:
+            a, b = a & ~b, b & ~a
+            if (a & met).bit_count() < t and (b & met).bit_count() < t:
+                yield None, (u, v), (a, b), t
+        elif ((a ^ b) & met).bit_count() < t:
+            yield None, (u, v), (a ^ b,), t
 
 
 def first_failure(g: Graph, smask: int, kind: DetectionKind, pairs=None):
     """The first requirement (see requirements) the detector mask `smask`
     fails, as (vertex, None, value) or (None, pair, value), or None if it
-    meets all.  The value is the most detectors any of its masks holds."""
-    for vertex, pair, masks, need in requirements(g, kind, pairs):
-        got = 0
-        for mask in masks:
-            got = max(got, (mask & smask).bit_count())
-        if got < need:
-            return vertex, pair, got
+    meets all: the first one that requirements(..., met=smask) yields.  The
+    value is the most detectors any of its masks holds."""
+    for vertex, pair, masks, need in requirements(g, kind, pairs, smask):
+        return vertex, pair, max((mask & smask).bit_count() for mask in masks)
     return None
 
 

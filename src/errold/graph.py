@@ -3,11 +3,10 @@
 used throughout the toolkit.
 
 Vertices are dense integers 0..n-1.  A graph stores only its adjacency rows
-(bit v of adj[u] is set iff uv is an edge), built on construction, and the
-distance-2 pairs, computed on first use and cached; the edge set, the edge
-count, equality and hashing are all read from the rows.  Graphs are
-immutable after construction, so a single graph can be shared freely
-between workers.
+(bit v of adj[u] is set iff uv is an edge), built on construction; the
+edge set, the edge count, equality, hashing and the pairs at distance <= 2
+are all read from the rows.  Graphs are immutable after construction, so a
+single graph can be shared freely between workers.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = adj
-        self._dist2_pairs: list[tuple[int, int]] | None = None
 
     # -- basics ------------------------------------------------------------
 
@@ -148,19 +146,25 @@ class Graph:
 
     def pairs_within_distance_two(self) -> list[tuple[int, int]]:
         """All unordered pairs u < v at graph distance 1 or 2, in
-        lexicographic order (cached).  Each u walks its neighbours and their
-        neighbours, so the loop runs over the pairs found, not over all
-        n(n-1)/2 pairs."""
-        if self._dist2_pairs is None:
-            adj = self.adj
-            pairs = []
-            for u, au in enumerate(adj):
-                reach = au
-                for w in bits_to_list(au):
-                    reach |= adj[w]
-                pairs += [(u, v) for v in bits_to_list(reach >> (u + 1) << (u + 1))]
-            self._dist2_pairs = pairs
-        return self._dist2_pairs
+        lexicographic order (see iter_pairs_within_distance_two)."""
+        return list(self.iter_pairs_within_distance_two())
+
+    def iter_pairs_within_distance_two(self):
+        """The pairs of pairs_within_distance_two, lazily.  Each u walks its
+        neighbours and their neighbours, so the loop runs over the pairs
+        found, not over all n(n-1)/2 pairs."""
+        adj = self.adj
+        for u, row in enumerate(adj):
+            reach = rest = row
+            while rest:
+                low = rest & -rest
+                reach |= adj[low.bit_length() - 1]
+                rest ^= low
+            reach >>= u + 1
+            while reach:
+                low = reach & -reach
+                yield u, u + low.bit_length()
+                reach ^= low
 
     def edge_in_triangle(self, e: Edge) -> bool:
         """True iff the endpoints of e share a neighbour.  e must be an edge."""
@@ -190,11 +194,13 @@ class Graph:
 
 
 def bits_to_list(mask: int) -> list[int]:
+    """The set bits of `mask` in increasing order, taken from the top."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 

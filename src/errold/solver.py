@@ -8,16 +8,18 @@ decision "is there a set of size <= k?".
 The branch-and-bound search works on requirements compiled once per search
 from detection.requirements: at least `need` detectors in a vertex mask
 (N(v) for domination, N(u) symdiff N(v) for a symmetric pair), or, for a
-one-sided pair, at least `need` in N(u) - N(v) or in N(v) - N(u).  A node
-is a pair of masks, the chosen and the undecided vertices; the rest are
-excluded.  Dominator sets only grow when detectors are added, so a
-requirement with fewer than `need` vertices in chosen | undecided fails for
-every completion.  At each node the search
+one-sided pair, at least `need` in N(u) - N(v) or in N(v) - N(u).  The
+root starts with the neighbours of every vertex of degree at most
+min_domination chosen (the paper's degree rule,
+detection.forced_detectors_for_kind), and requirements those neighbours
+meet are never built.  A node is a pair of masks, the chosen and the
+undecided vertices; the rest are excluded.  Dominator sets only grow when
+detectors are added, so a requirement with fewer than `need` vertices in
+chosen | undecided fails for every completion.  At each node the search
 
   * propagates: it prunes the node if a requirement fails that way, and
     chooses every undecided vertex of a requirement that has exactly
-    `need` left (at the root this includes the paper's degree rule,
-    detection.forced_detectors_for_kind);
+    `need` left;
   * bounds: |chosen| plus the deficits of unmet requirements with pairwise
     disjoint undecided supports is a lower bound on every completion;
   * branches on a vertex of the unmet requirement with the least slack
@@ -128,18 +130,24 @@ def _compile(g: Graph, kind: DetectionKind):
 
     reqs is (plain, either): plain holds (mask, need); either holds the
     one-sided pairs (a, b, need), each also relaxed into plain as
-    (a | b, need).  root is the propagated root (chosen, undecided).
-    Requirements the root's forced detectors meet are met at every node and
-    are left out."""
+    (a | b, need).  root is the propagated root (chosen, undecided).  It
+    starts with N(w) chosen for every w of degree at most min_domination
+    (the degree rule), and requirements those vertices meet are never
+    built: they can neither fail nor force anything new.  Requirements the
+    root's chosen set meets are met at every node and are left out too."""
+    forced = 0
+    for row in g.adj:
+        if row.bit_count() <= kind.min_domination:
+            forced |= row
     plain, either = [], []
-    for _, _, masks, need in requirements(g, kind):
+    for _, _, masks, need in requirements(g, kind, met=forced):
         if len(masks) == 2:
             a, b = masks
             either.append((a, b, need))
             plain.append((a | b, need))
         else:
             plain.append((masks[0], need))
-    root = _propagate(plain, either, 0, g.full_mask())
+    root = _propagate(plain, either, forced, g.full_mask() & ~forced)
     if root is None:
         return None, None
     chosen = root[0]

@@ -27,3 +27,20 @@ def test_tracer_target_resolves(target):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_verify_is_bound_where_the_self_test_reads_it(monkeypatch):
+    # the self-test counts detection.verify through these from-import copies
+    # while it solves Petersen for OLD, so the up-front check must stay
+    import errold.detection
+    import errold.reduction
+    import errold.solver
+    from errold.families import petersen_graph
+    verify = errold.detection.verify
+    assert errold.solver.verify is verify
+    assert errold.reduction.verify is verify
+    calls = []
+    monkeypatch.setattr(errold.solver, "verify",
+                        lambda *args: calls.append(args) or verify(*args))
+    errold.solver.minimum_detector_set(petersen_graph(), errold.detection.OLD)
+    assert calls

@@ -9,7 +9,8 @@ from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
                               verify, verify_red_old_by_removal, is_open_dominating,
                               exists_err_old, forced_detectors,
                               forced_detectors_for_kind, kind_from_flag,
-                              parse_detector_set, serialize_detector_set)
+                              parse_detector_set, serialize_detector_set,
+                              requirements)
 from errold.families import (complete_graph, cycle_graph, petersen_graph,
                              heawood_graph, random_graph, circulant_graph)
 
@@ -162,6 +163,41 @@ def test_verdicts_match_the_written_out_scan():
                 assert verify(g, s, kind, strategy) == expect
                 failures.add(None if failure is None else failure[0] is None)
     assert failures == {None, True, False}
+
+
+def every_requirement(g, kind, pairs=None):
+    """In-test copy of the requirement generator before it took a `met`
+    mask: every requirement, the pairs at distance <= 2 by default."""
+    adj = g.adj
+    d, t = kind.min_domination, kind.distinguish_threshold
+    for v in range(g.n):
+        yield v, None, (adj[v],), d
+    if pairs is None:
+        pairs = all_pairs_within_distance_two(g)
+    for u, v in pairs:
+        a, b = adj[u], adj[v]
+        masks = (a & ~b, b & ~a) if kind.mode == "one-sided" else (a ^ b,)
+        yield None, (u, v), masks, t
+
+
+def test_requirements_skip_only_what_met_meets():
+    # the requirements left unmet by `met`, in the unfiltered order
+    rng = random.Random(23)
+    kept = skipped = 0
+    for _ in range(300):
+        g = random_graph(rng.randint(1, 14), rng.uniform(0.1, 0.9), rng)
+        for kind in ALL_KINDS:
+            for pairs in (None, list(itertools.combinations(range(g.n), 2))):
+                every = list(every_requirement(g, kind, pairs))
+                assert list(requirements(g, kind, pairs)) == every
+                for density in (0.2, 0.6, 0.9):
+                    met = mask_of(v for v in range(g.n) if rng.random() < density)
+                    unmet = [r for r in every if all(
+                        (mask & met).bit_count() < r[3] for mask in r[2])]
+                    assert list(requirements(g, kind, pairs, met)) == unmet
+                    kept += len(unmet)
+                    skipped += len(every) - len(unmet)
+    assert kept > 10_000 and skipped > 10_000
 
 
 # -- RED:OLD removal oracle -----------------------------------------------------------

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from errold.graph import (MAX_VERTICES, Graph, GraphError, ParseError,
-                          ResourceLimit, parse_edge_list, serialize_edge_list)
+                          ResourceLimit, bits_to_list, parse_edge_list,
+                          serialize_edge_list)
 from errold.families import (complete_graph, cycle_graph, path_graph,
                              petersen_graph, random_graph, disjoint_union)
 
@@ -206,6 +207,29 @@ def test_pairs_within_distance_two_against_bfs():
                 if v > u and d <= 2:
                     expected.add((u, v))
         assert set(g.pairs_within_distance_two()) == expected
+        assert list(g.iter_pairs_within_distance_two()) == sorted(expected)
+
+
+def low_bits_first(mask):
+    """In-test copy of bits_to_list before it took bits from the top."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_to_list_matches_the_low_bit_loop():
+    rng = random.Random(5)
+    masks = [0, 1, 2, 3, 1 << 10_000, (1 << 12_345) - 1, 1 | 1 << 20_000]
+    for _ in range(500):
+        width = rng.choice((8, 64, 139, 2_000, 15_000))
+        masks.append(rng.getrandbits(width) & rng.getrandbits(width))
+        masks.append(sum(1 << rng.randrange(width) for _ in range(rng.randint(1, 9))))
+    for mask in masks:
+        assert bits_to_list(mask) == low_bits_first(mask)
+    assert bits_to_list(0) == []
 
 
 # -- edge predicates ---------------------------------------------------------------

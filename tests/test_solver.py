@@ -3,14 +3,17 @@ import random
 
 import pytest
 
+import errold.solver
 from errold.graph import Graph, bits_to_list, mask_of
 from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
-                              verify, forced_detectors, forced_detectors_for_kind)
+                              verify, forced_detectors, forced_detectors_for_kind,
+                              requirements)
 from errold.solver import (minimum_detector_set, detector_set_within,
                            SearchBudgetExceeded, _compile, _examine, _propagate,
                            _children)
 from errold.families import (complete_graph, petersen_graph,
                              heawood_graph, random_graph)
+from errold.reduction import CnfFormula, build_instance
 
 # the two minimum-order graphs supporting an error-correcting set (7 vertices,
 # 12 edges); optima frozen from an independent scan of all 2^7 subsets
@@ -278,6 +281,77 @@ def test_carried_lists_examine_like_the_compiled_ones():
                 _examine(reqs, *node, None) is not None
     assert min(shrunk.values()) > 150 and either > 250 and bound_prunes > 800
     assert deepest > 5
+
+
+def compile_every_requirement(g, kind):
+    """In-test copy of the compile before it started from the degree rule:
+    every requirement, the root propagated from (nothing, V), then the
+    requirements the root's chosen set meets left out."""
+    plain, either = [], []
+    for _, _, masks, need in requirements(g, kind):
+        if len(masks) == 2:
+            a, b = masks
+            either.append((a, b, need))
+            plain.append((a | b, need))
+        else:
+            plain.append((masks[0], need))
+    root = _propagate(plain, either, 0, g.full_mask())
+    if root is None:
+        return None, None
+    chosen = root[0]
+    plain = [(mask, need) for mask, need in plain
+             if (mask & chosen).bit_count() < need]
+    either = [(a, b, need) for a, b, need in either
+              if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need]
+    return (plain, either), root
+
+
+# N = 3, M = 8: one of the benchmark's round-trip shapes
+FORMULA_3_8 = CnfFormula(3, ((1, 2, 3), (-1, 2, -3), (1, -2, 3), (-1, -2, -3),
+                             (1, -2, -3), (2, -3, 1), (-2, 3, -1), (3, 1, -2)))
+
+
+def random_formula(rng):
+    n = rng.randint(3, 5)
+    return CnfFormula(n, tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(rng.randint(1, 8))))
+
+
+def test_compile_matches_the_full_compile():
+    # skipping what the degree rule meets changes no compiled list and no
+    # root, on random graphs and on reduction instances
+    rng = random.Random(48)
+    graphs = [random_graph(rng.randint(0, 16), rng.uniform(0.1, 0.9), rng)
+              for _ in range(300)]
+    instances = [build_instance(random_formula(rng)) for _ in range(30)]
+    instances.append(build_instance(FORMULA_3_8))
+    infeasible = 0
+    for g in graphs + [inst.graph for inst in instances]:
+        for kind in ALL_KINDS:
+            expected = compile_every_requirement(g, kind)
+            assert _compile(g, kind) == expected
+            infeasible += expected[1] is None
+    assert infeasible > 300
+    for inst in instances:
+        _, (chosen, _) = _compile(inst.graph, ERR_OLD)
+        assert mask_of(inst.forced) & ~chosen == 0
+
+
+def test_compile_builds_only_what_the_degree_rule_leaves_unmet(monkeypatch):
+    # the 139-vertex instance has 1,008 requirements; the degree rule meets
+    # all but the 22 the search keeps, so only those are built
+    built = []
+
+    def counted(*args, **kwargs):
+        for req in requirements(*args, **kwargs):
+            built.append(req)
+            yield req
+    monkeypatch.setattr(errold.solver, "requirements", counted)
+    g = build_instance(FORMULA_3_8).graph
+    assert len(list(requirements(g, ERR_OLD))) == 1_008
+    reqs, _ = _compile(g, ERR_OLD)
+    assert (len(built), len(reqs[0]), len(reqs[1])) == (22, 22, 0)
 
 
 def test_root_propagation_covers_the_degree_rule():
