@@ -127,8 +127,6 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     current: list[int] = []
     for tok in tokens:
         if tok == 0:
-            if len(current) != 3:
-                raise ValueError(f"clause {len(clauses) + 1} has {len(current)} literals, expected 3")
             clauses.append(tuple(current))
             current = []
         else:

@@ -30,11 +30,14 @@ The chosen set only grows down a path, so a requirement met at a node is
 met below it.  Each node scans only the requirement lists its parent
 carried, in their order, and hands its children the ones it leaves unmet
 if they are at least a quarter shorter, else its parent's lists; so the
-lists held along a path sum to at most four times the root's.  A skip child
-propagates the carried lists: a met requirement fails nothing and forces
-nothing, so no per-vertex index of requirements is needed.  A node with no
-unmet requirement is a leaf, and its chosen set is valid.  The root's
-propagation fails iff S = V(G) does, so the search itself detects an
+lists held along a path sum to at most four times the root's.  The root,
+examined on the compiled lists, and every skip child propagate the lists
+they are handed: a met requirement fails nothing and forces nothing, so no
+per-vertex index of requirements is needed.  A take child leaves
+chosen | undecided as its parent left it and needs no propagation.  A node
+with no unmet requirement is a leaf, and its chosen set is valid.  The
+root's undecided vertices are all those it does not choose, so its
+propagation fails iff S = V(G) does: the search's first node detects an
 infeasible graph."""
 
 from __future__ import annotations
@@ -82,7 +85,10 @@ def minimum_detector_set(g: Graph, kind: DetectionKind,
     """Minimum-cardinality detector set of the given kind, or infeasible.
 
     Infeasibility is decided up front on S = V(G), which is conclusive by
-    monotonicity."""
+    monotonicity.  The search's root would find it too, but only after
+    compiling every requirement, while verify stops at the first one that
+    fails; so the check stays as the fast exit for an infeasible graph.
+    perfbench/selftest.py also reads the solver.verify it calls."""
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be non-negative, got {budget}")
     if not verify(g, g.full_mask(), kind).ok:
@@ -126,15 +132,14 @@ def _solve_exhaustive(g: Graph, kind: DetectionKind,
 
 
 def _compile(g: Graph, kind: DetectionKind):
-    """(reqs, root) for the search, or (None, None) if g admits no set.
+    """((plain, either), forced): the requirement lists and the root's
+    chosen set.
 
-    reqs is (plain, either): plain holds (mask, need); either holds the
-    one-sided pairs (a, b, need), each also relaxed into plain as
-    (a | b, need).  root is the propagated root (chosen, undecided).  It
-    starts with N(w) chosen for every w of degree at most min_domination
-    (the degree rule), and requirements those vertices meet are never
-    built: they can neither fail nor force anything new.  Requirements the
-    root's chosen set meets are met at every node and are left out too."""
+    plain holds (mask, need); either holds the one-sided pairs (a, b,
+    need), each also relaxed into plain as (a | b, need).  forced is N(w)
+    for every w of degree at most min_domination (the degree rule), and
+    requirements those vertices meet are never built: they can neither
+    fail nor force anything new."""
     forced = 0
     for row in g.adj:
         if row.bit_count() <= kind.min_domination:
@@ -147,15 +152,7 @@ def _compile(g: Graph, kind: DetectionKind):
             plain.append((a | b, need))
         else:
             plain.append((masks[0], need))
-    root = _propagate(plain, either, forced, g.full_mask() & ~forced)
-    if root is None:
-        return None, None
-    chosen = root[0]
-    plain = [(mask, need) for mask, need in plain
-             if (mask & chosen).bit_count() < need]
-    either = [(a, b, need) for a, b, need in either
-              if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need]
-    return (plain, either), root
+    return (plain, either), forced
 
 
 def _propagate(plain, either, chosen: int, undecided: int):
@@ -187,20 +184,20 @@ def _propagate(plain, either, chosen: int, undecided: int):
     return chosen | forced, undecided & ~forced
 
 
-def _examine(reqs, chosen: int, undecided: int, skipped: int,
+def _examine(reqs, chosen: int, undecided: int, propagate: bool,
              bound: int | None):
-    """Propagate, bound and branch at a node whose parent was examined.
+    """Propagate, bound and branch at a node.
 
-    reqs is the (plain, either) its parent carried.  `skipped` is the
-    vertex the node skipped, or -1 if it took one: a take leaves avail as
-    the parent left it, and a skip is propagated over reqs.  Returns None
-    if the node is pruned, else ((chosen, undecided, v), carried) after
-    propagation, with v the least undecided vertex of the unmet requirement
-    of least slack (the first on ties), or None at a leaf, and carried the
-    lists for its children.  The packing bound takes unmet requirements
-    greedily in order."""
+    reqs is the (plain, either) its parent carried, or the compiled lists
+    at the root.  The root and every skip child are propagated over reqs;
+    a take child is not (`propagate` false), since it leaves avail as its
+    parent left it.  Returns None if the node is pruned, else ((chosen,
+    undecided, v), carried) after propagation, with v the least undecided
+    vertex of the unmet requirement of least slack (the first on ties), or
+    None at a leaf, and carried the lists for its children.  The packing
+    bound takes unmet requirements greedily in order."""
     plain, either = reqs
-    if skipped >= 0:
+    if propagate:
         node = _propagate(plain, either, chosen, undecided)
         if node is None:
             return None
@@ -243,33 +240,26 @@ def _examine(reqs, chosen: int, undecided: int, skipped: int,
 def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
             budget: int | None = None) -> tuple[int | None, int]:
     """(best set as a mask or None, nodes explored) of the core run from
-    the propagated root; a root whose propagation fails is one node."""
-    reqs, root = _compile(g, kind)
-    if root is None:
-        return None, 1
-    return _branch_and_bound(reqs, (*root, -1), limit, budget)
+    the root; a root whose propagation fails is one node."""
+    reqs, forced = _compile(g, kind)
+    return _branch_and_bound((reqs, forced, g.full_mask() & ~forced, True),
+                             limit, budget)
 
 
-def _children(chosen: int, undecided: int, v: int):
-    """The take and the skip child of a node that branches on v."""
-    bit = 1 << v
-    return (chosen | bit, undecided & ~bit, -1), (chosen, undecided & ~bit, v)
-
-
-def _branch_and_bound(reqs, node, limit: int | None = None,
+def _branch_and_bound(root, limit: int | None = None,
                       budget: int | None = None) -> tuple[int | None, int]:
-    """Depth-first search below `node`, take before skip.
+    """Depth-first search from `root`, take before skip.
 
     Without a `limit` this minimises: after a hit only strictly smaller sets
     are hits.  With one it decides: only sets smaller than `limit` are hits,
     and the search stops at its first hit.  Returns (best set as a mask or
-    None, nodes explored).  The explicit stack of nodes, each three ints
-    after the lists its parent carried, keeps the depth free of the
-    recursion limit.  An interrupt becomes SearchInterrupted."""
+    None, nodes explored).  The explicit stack of nodes, each the arguments
+    of _examine but the bound, keeps the depth free of the recursion
+    limit.  An interrupt becomes SearchInterrupted."""
     bound = limit
     best: int | None = None
     nodes = 0
-    stack = [(reqs, *node)]
+    stack = [root]
     try:
         while stack:
             node = stack.pop()
@@ -286,9 +276,9 @@ def _branch_and_bound(reqs, node, limit: int | None = None,
                 if limit is not None:
                     break
                 continue
-            take, skip = _children(chosen, undecided, v)
-            stack.append((carried, *skip))
-            stack.append((carried, *take))
+            bit = 1 << v
+            stack.append((carried, chosen, undecided & ~bit, True))
+            stack.append((carried, chosen | bit, undecided & ~bit, False))
     except KeyboardInterrupt:
         raise SearchInterrupted(nodes, *_best(best)) from None
     return best, nodes

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import hashlib
 import io
@@ -215,6 +216,26 @@ def test_import_does_not_load_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library():
+    # errold is stdlib-only: every absolute import in the package names a
+    # standard-library module (relative imports stay inside the package)
+    package = Path(errold.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def cli_process(argv, stdout, unbuffered=True):

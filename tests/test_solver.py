@@ -10,7 +10,7 @@ from errold.detection import (OLD, RED_OLD, DET_OLD, ERR_OLD, ALL_KINDS,
                               requirements)
 from errold.solver import (minimum_detector_set, detector_set_within,
                            SearchBudgetExceeded, _compile, _examine, _propagate,
-                           _children)
+                           _search)
 from errold.families import (complete_graph, petersen_graph,
                              heawood_graph, random_graph)
 from errold.reduction import CnfFormula, build_instance
@@ -68,6 +68,8 @@ def test_serial_search_is_pinned(graph, kind, optimum, nodes):
 
 def test_k4_err_old_infeasible():
     assert minimum_detector_set(complete_graph(4), ERR_OLD).status == "infeasible"
+    # the search's root fails its propagation: one node, no set
+    assert _search(complete_graph(4), ERR_OLD) == (None, 1)
 
 
 @pytest.mark.parametrize("edges", EXTREMAL_7_12)
@@ -193,27 +195,37 @@ def completions(g, kind, chosen, undecided):
     return out
 
 
+def compiled_root(g, kind):
+    """The compiled lists and the root node the search starts from."""
+    reqs, forced = _compile(g, kind)
+    return reqs, (forced, g.full_mask() & ~forced, True)
+
+
 def random_walks(rng, count, max_n):
     """(graph, kind, compiled requirements, carried, node) for the nodes on
     random root-to-leaf walks through the search tree, one walk per kind on
-    each of `count` random graphs with a feasible root; carried is the
-    requirement lists the node's parent handed it (the compiled ones at the
-    root)."""
+    each of `count` random graphs whose first kind has a feasible root;
+    carried is the requirement lists the node's parent handed it (the
+    compiled ones at the root).  A walk from an infeasible root is that
+    root alone."""
     graphs = 0
     while graphs < count:
         g = random_graph(rng.randint(4, max_n), rng.uniform(0.3, 0.7), rng)
-        roots = [(kind, *_compile(g, kind)) for kind in ALL_KINDS]
-        if roots[0][2] is None:
+        roots = [(kind, *compiled_root(g, kind)) for kind in ALL_KINDS]
+        if _examine(roots[0][1], *roots[0][2], None) is None:
             continue
         graphs += 1
-        for kind, reqs, root in roots:
-            node, carried = (None, None) if root is None else ((*root, -1), reqs)
-            while node is not None:
+        for kind, reqs, node in roots:
+            carried = reqs
+            while True:
                 yield g, kind, reqs, carried, node
                 step = _examine(carried, *node, None)
                 if step is None or step[0][2] is None:
                     break
-                node, carried = rng.choice(_children(*step[0])), step[1]
+                (chosen, undecided, v), carried = step
+                bit = 1 << v
+                node = rng.choice(((chosen | bit, undecided & ~bit, False),
+                                   (chosen, undecided & ~bit, True)))
 
 
 def test_propagation_is_sound():
@@ -238,8 +250,8 @@ def test_propagation_is_sound():
 
 
 def test_examine_propagates_like_a_full_pass():
-    # a take child needs no propagation, and a skip child only that of the
-    # requirements its parent left unmet
+    # a take child needs no propagation, and the root and a skip child only
+    # that of the lists they are handed
     rng = random.Random(46)
     skips = 0
     for g, kind, reqs, carried, node in random_walks(rng, 300, 12):
@@ -247,7 +259,7 @@ def test_examine_propagates_like_a_full_pass():
         full = _propagate(*reqs, *node[:2])
         assert (step is None) == (full is None)
         assert step is None or step[0][:2] == full
-        skips += node[2] >= 0
+        skips += node[2]
     assert skips > 500
 
 
@@ -298,12 +310,16 @@ def compile_every_requirement(g, kind):
     root = _propagate(plain, either, 0, g.full_mask())
     if root is None:
         return None, None
-    chosen = root[0]
-    plain = [(mask, need) for mask, need in plain
-             if (mask & chosen).bit_count() < need]
-    either = [(a, b, need) for a, b, need in either
-              if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need]
-    return (plain, either), root
+    return unmet((plain, either), root[0]), root
+
+
+def unmet(reqs, chosen):
+    """The requirements of reqs that chosen leaves unmet, in order."""
+    plain, either = reqs
+    return ([(mask, need) for mask, need in plain
+             if (mask & chosen).bit_count() < need],
+            [(a, b, need) for a, b, need in either
+             if max((a & chosen).bit_count(), (b & chosen).bit_count()) < need])
 
 
 # N = 3, M = 8: one of the benchmark's round-trip shapes
@@ -319,8 +335,9 @@ def random_formula(rng):
 
 
 def test_compile_matches_the_full_compile():
-    # skipping what the degree rule meets changes no compiled list and no
-    # root, on random graphs and on reduction instances
+    # skipping what the degree rule meets changes no root and, once the
+    # root's chosen set filters them, no compiled list, on random graphs
+    # and on reduction instances
     rng = random.Random(48)
     graphs = [random_graph(rng.randint(0, 16), rng.uniform(0.1, 0.9), rng)
               for _ in range(300)]
@@ -329,12 +346,18 @@ def test_compile_matches_the_full_compile():
     infeasible = 0
     for g in graphs + [inst.graph for inst in instances]:
         for kind in ALL_KINDS:
-            expected = compile_every_requirement(g, kind)
-            assert _compile(g, kind) == expected
-            infeasible += expected[1] is None
+            expected_reqs, expected_root = compile_every_requirement(g, kind)
+            reqs, node = compiled_root(g, kind)
+            root = _propagate(*reqs, *node[:2])
+            assert root == expected_root
+            if root is None:
+                infeasible += 1
+            else:
+                assert unmet(reqs, root[0]) == expected_reqs
     assert infeasible > 300
     for inst in instances:
-        _, (chosen, _) = _compile(inst.graph, ERR_OLD)
+        reqs, node = compiled_root(inst.graph, ERR_OLD)
+        chosen, _ = _propagate(*reqs, *node[:2])
         assert mask_of(inst.forced) & ~chosen == 0
 
 
@@ -359,7 +382,8 @@ def test_root_propagation_covers_the_degree_rule():
     for _ in range(200):
         g = random_graph(rng.randint(2, 12), rng.uniform(0.3, 0.9), rng)
         for kind in ALL_KINDS:
-            _, root = _compile(g, kind)
+            reqs, node = compiled_root(g, kind)
+            root = _propagate(*reqs, *node[:2])
             if root is not None:
                 assert mask_of(forced_detectors_for_kind(g, kind)) & ~root[0] == 0
 
