@@ -240,7 +240,8 @@ def _examine(reqs, chosen: int, undecided: int, propagate: bool,
 def _search(g: Graph, kind: DetectionKind, limit: int | None = None,
             budget: int | None = None) -> tuple[int | None, int]:
     """(best set as a mask or None, nodes explored) of the core run from
-    the root; a root whose propagation fails is one node."""
+    the root, a node like any other: it counts against `budget`, and a root
+    whose propagation fails is one node."""
     reqs, forced = _compile(g, kind)
     return _branch_and_bound((reqs, forced, g.full_mask() & ~forced, True),
                              limit, budget)

@@ -70,6 +70,12 @@ def test_k4_err_old_infeasible():
     assert minimum_detector_set(complete_graph(4), ERR_OLD).status == "infeasible"
     # the search's root fails its propagation: one node, no set
     assert _search(complete_graph(4), ERR_OLD) == (None, 1)
+    # the root counts against the budget, feasible or not
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        _search(complete_graph(4), ERR_OLD, budget=0)
+    assert exc.value.nodes_explored == 0
+    assert minimum_detector_set(complete_graph(4), ERR_OLD,
+                                budget=0).status == "infeasible"
 
 
 @pytest.mark.parametrize("edges", EXTREMAL_7_12)
@@ -201,6 +207,13 @@ def compiled_root(g, kind):
     return reqs, (forced, g.full_mask() & ~forced, True)
 
 
+def is_root(g, node):
+    """Whether a node of random_walks is its walk's root: a take child has
+    propagate False, and a skip child has left a vertex out of chosen |
+    undecided."""
+    return node[2] and node[0] | node[1] == g.full_mask()
+
+
 def random_walks(rng, count, max_n):
     """(graph, kind, compiled requirements, carried, node) for the nodes on
     random root-to-leaf walks through the search tree, one walk per kind on
@@ -259,14 +272,15 @@ def test_examine_propagates_like_a_full_pass():
         full = _propagate(*reqs, *node[:2])
         assert (step is None) == (full is None)
         assert step is None or step[0][:2] == full
-        skips += node[2]
+        skips += node[2] and not is_root(g, node)
     assert skips > 500
 
 
 def test_carried_lists_examine_like_the_compiled_ones():
     # a node examined on the lists its parent carried propagates, bounds and
     # branches as on every compiled requirement, and the lists held along a
-    # walk sum to at most four times the root's
+    # walk sum to at most four times the root's; those below the root, to
+    # at most four times what the root leaves unmet
     rng = random.Random(47)
     shrunk = {kind.name: 0 for kind in ALL_KINDS}
     bound_prunes = either = deepest = 0
@@ -276,14 +290,21 @@ def test_carried_lists_examine_like_the_compiled_ones():
         return len(lists[0]) + len(lists[1])
 
     for g, kind, reqs, carried, node in random_walks(rng, 150, 20):
+        if is_root(g, node):
+            # count only what nodes below the root filter: the root's own
+            # filtering leaves what the full compile would have left
+            root = _propagate(*reqs, *node[:2])
+            filtered = reqs if root is None else unmet(reqs, root[0])
         if carried is reqs:
             held = []
         if not any(carried is lists for lists in held):
             held.append(carried)
         assert sum(map(size, held)) <= 4 * size(reqs)
+        assert sum(size(lists) for lists in held if lists is not reqs) \
+            <= 4 * size(filtered)
         deepest = max(deepest, len(held))
-        shrunk[kind.name] += size(carried) < size(reqs)
-        either += len(carried[1]) < len(reqs[1])
+        shrunk[kind.name] += size(carried) < size(filtered)
+        either += len(carried[1]) < len(filtered[1])
         for bound in (None, node[0].bit_count() + rng.randint(1, 4)):
             step = _examine(carried, *node, bound)
             full = _examine(reqs, *node, bound)
