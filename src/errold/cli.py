@@ -16,7 +16,7 @@ import os
 import sys
 
 from .graph import ResourceLimit, parse_edge_list, serialize_edge_list
-from .detection import (kind_from_flag, verify, exists_err_old,
+from .detection import (KIND_FLAGS, kind_from_flag, verify, exists_err_old,
                         parse_detector_set)
 from .solver import (minimum_detector_set, detector_set_within,
                      SearchBudgetExceeded)
@@ -172,20 +172,14 @@ def cmd_reduce(args) -> int:
     report.add("vertices", inst.graph.n)
     report.add("edges", inst.graph.m)
     report.add("K", inst.k)
-    graph_text = serialize_edge_list(inst.graph)
-    manifest_text = inst.manifest()
-    if args.out_graph:
-        with open(args.out_graph, "w", encoding="utf-8") as fh:
-            fh.write(graph_text)
-        report.add("graph-file", args.out_graph)
-    if args.out_manifest:
-        with open(args.out_manifest, "w", encoding="utf-8") as fh:
-            fh.write(manifest_text)
-        report.add("manifest-file", args.out_manifest)
-    if not args.out_graph:
-        report.section("## graph\n" + graph_text)
-    if not args.out_manifest:
-        report.section("## manifest\n" + manifest_text)
+    for name, path, text in (("graph", args.out_graph, serialize_edge_list(inst.graph)),
+                             ("manifest", args.out_manifest, inst.manifest())):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            report.add(f"{name}-file", path)
+        else:
+            report.section(f"## {name}\n" + text)
     return report.finish(True)
 
 
@@ -287,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="edge-list file")
 
     def kind_flag(p):
-        p.add_argument("--kind", required=True, choices=["old", "redold", "detold", "err"])
+        p.add_argument("--kind", required=True, choices=KIND_FLAGS)
 
     p = sub.add_parser("verify", help="check a detector set")
     graph_flag(p)
@@ -346,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid_certify)
 
     p = sub.add_parser("grid-search", help="minimum-density certified pattern")
-    p.add_argument("--grid", required=True, choices=["SQR", "TRI", "KNG"])
+    p.add_argument("--grid", required=True, choices=grids.GRID_KINDS)
     p.add_argument("--max-index", type=int, required=True)
     p.set_defaults(func=cmd_grid_search)
 

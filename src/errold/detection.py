@@ -43,16 +43,16 @@ ERR_OLD = DetectionKind("ERR:OLD", 3, 3, SYMMETRIC)
 
 ALL_KINDS = (OLD, RED_OLD, DET_OLD, ERR_OLD)
 
-_KIND_FLAGS = {"old": OLD, "redold": RED_OLD, "detold": DET_OLD, "err": ERR_OLD}
+KIND_FLAGS = {"old": OLD, "redold": RED_OLD, "detold": DET_OLD, "err": ERR_OLD}
 
 
 def kind_from_flag(flag: str) -> DetectionKind:
     """Map a CLI flag value (old|redold|detold|err) to its DetectionKind."""
     try:
-        return _KIND_FLAGS[flag]
+        return KIND_FLAGS[flag]
     except KeyError:
         raise ValueError(f"unknown detection kind {flag!r}; expected one of "
-                         f"{sorted(_KIND_FLAGS)}") from None
+                         f"{sorted(KIND_FLAGS)}") from None
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,18 @@ def verify(g: Graph, detectors, kind: DetectionKind,
            strategy: str = "pruned") -> Verdict:
     """Check whether `detectors` is a valid set of the given kind.
 
-    The 'pruned' strategy tests the pairs at distance <= 2 (see
-    first_failure); the 'naive' strategy scans all pairs and serves as the
-    oracle."""
+    The verdict names the first requirement (see requirements) the set
+    fails, with the most detectors any of its masks holds.  The 'pruned'
+    strategy tests the pairs at distance <= 2; the 'naive' strategy scans
+    all pairs and serves as the oracle."""
     if strategy not in ("pruned", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     pairs = itertools.combinations(range(g.n), 2) if strategy == "naive" else None
-    failure = first_failure(g, _as_mask(detectors), kind, pairs)
-    return Verdict(True) if failure is None else Verdict(False, *failure)
+    smask = _as_mask(detectors)
+    for vertex, pair, masks, _ in requirements(g, kind, pairs, smask):
+        return Verdict(False, vertex, pair,
+                       max((mask & smask).bit_count() for mask in masks))
+    return Verdict(True)
 
 
 def requirements(g: Graph, kind: DetectionKind, pairs=None, met=0):
@@ -145,16 +149,6 @@ def requirements(g: Graph, kind: DetectionKind, pairs=None, met=0):
                 yield None, (u, v), (a, b), t
         elif ((a ^ b) & met).bit_count() < t:
             yield None, (u, v), (a ^ b,), t
-
-
-def first_failure(g: Graph, smask: int, kind: DetectionKind, pairs=None):
-    """The first requirement (see requirements) the detector mask `smask`
-    fails, as (vertex, None, value) or (None, pair, value), or None if it
-    meets all: the first one that requirements(..., met=smask) yields.  The
-    value is the most detectors any of its masks holds."""
-    for vertex, pair, masks, need in requirements(g, kind, pairs, smask):
-        return vertex, pair, max((mask & smask).bit_count() for mask in masks)
-    return None
 
 
 def is_open_dominating(g: Graph, detectors) -> bool:
@@ -235,9 +229,9 @@ def forced_detectors_for_kind(g: Graph, kind: DetectionKind) -> set[int]:
     exactly d needs every neighbour as a dominator, so N(w) is forced.
     (Vertices of degree < d make the instance infeasible outright.)
 
-    This is the paper's rule.  The solver forces by tightness propagation
-    over all requirements instead, which at the root forces a superset of
-    these vertices; this function is the oracle the tests hold it to."""
+    This is the paper's rule.  The solver's root starts from the same rule
+    (solver._compile, which also takes N(w) for degree below d) before it
+    propagates; this function is the oracle the tests hold that mask to."""
     d = kind.min_domination
     degd = mask_of(v for v in range(g.n) if g.degree(v) == d)
     return {v for v in range(g.n) if g.adj[v] & degd}

@@ -356,22 +356,12 @@ def quasi_cubic_expand(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Gr
     vertex id n."""
     if not g.degree_summary()[2]:
         raise GraphError("expansion requires a cubic graph")
-    a, b = e1
-    c, d = e2
-    if not g.has_edge(a, b):
-        raise GraphError(f"({a},{b}) is not an edge")
-    if not g.has_edge(c, d):
-        raise GraphError(f"({c},{d}) is not an edge")
-    if {a, b} & {c, d}:
-        raise GraphError("edges share a vertex")
-    if g.edge_in_triangle((a, b)):
-        raise GraphError(f"edge ({a},{b}) lies in a triangle")
-    if g.edge_in_triangle((c, d)):
-        raise GraphError(f"edge ({c},{d}) lies in a triangle")
-    if g.edges_are_p5_terminal((a, b), (c, d)):
-        raise GraphError("edges are the terminal edges of a P5 subgraph")
+    defect = _expansion_defect(g, e1, e2)
+    if defect is not None:
+        raise GraphError(defect)
     if not exists_err_old(g).exists:
         raise GraphError("expansion requires a graph supporting an ERR:OLD set")
+    (a, b), (c, d) = e1, e2
     drop = {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
     edges = [e for e in g.sorted_edges() if e not in drop]
     x = g.n
@@ -379,17 +369,26 @@ def quasi_cubic_expand(g: Graph, e1: tuple[int, int], e2: tuple[int, int]) -> Gr
     return Graph(g.n + 1, edges)
 
 
+def _expansion_defect(g: Graph, e1: tuple[int, int], e2: tuple[int, int]):
+    """The first edge precondition of the expansion that e1, e2 fail, as
+    its message, or None: both are edges, disjoint, off triangles and not
+    the terminal edges of a P5."""
+    (a, b), (c, d) = e1, e2
+    for u, v in (e1, e2):
+        if not g.has_edge(u, v):
+            return f"({u},{v}) is not an edge"
+    if {a, b} & {c, d}:
+        return "edges share a vertex"
+    for u, v in (e1, e2):
+        if g.edge_in_triangle((u, v)):
+            return f"edge ({u},{v}) lies in a triangle"
+    if g.edges_are_p5_terminal(e1, e2):
+        return "edges are the terminal edges of a P5 subgraph"
+    return None
+
+
 def valid_expansion_pairs(g: Graph):
     """All unordered pairs of edges meeting the expansion preconditions."""
     es = g.sorted_edges()
-    out = []
-    for i, e1 in enumerate(es):
-        for e2 in es[i + 1:]:
-            if set(e1) & set(e2):
-                continue
-            if g.edge_in_triangle(e1) or g.edge_in_triangle(e2):
-                continue
-            if g.edges_are_p5_terminal(e1, e2):
-                continue
-            out.append((e1, e2))
-    return out
+    return [(e1, e2) for i, e1 in enumerate(es) for e2 in es[i + 1:]
+            if _expansion_defect(g, e1, e2) is None]

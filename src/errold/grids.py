@@ -381,10 +381,14 @@ def parse_pattern(text: str) -> PeriodicPattern:
             continue
         parts = line.split()
         if parts[0] == "grid":
+            if kind is not None:
+                raise ParseError(f"line {lineno}: duplicate grid line")
             if len(parts) != 2 or parts[1] not in GRID_KINDS:
                 raise ParseError(f"line {lineno}: bad grid line {line!r}")
             kind = GRID_KINDS[parts[1]]
         elif parts[0] == "basis":
+            if basis is not None:
+                raise ParseError(f"line {lineno}: duplicate basis line")
             if len(parts) != 5:
                 raise ParseError(f"line {lineno}: basis needs 4 integers")
             try:

@@ -61,8 +61,6 @@ _Y_ATTACH = (5, 6)
 
 VARIABLE_BLOCK = 25
 CLAUSE_BLOCK = 8
-FORCED_PER_VARIABLE = 21
-FORCED_PER_CLAUSE = 7
 
 
 @dataclass(frozen=True)
@@ -150,14 +148,12 @@ class VariableLayout:
     xbar: int
     p: int
     q: int
-    forced: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ClauseLayout:
     y: int
     anchor: int                # designated forced neighbour of y
-    forced: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -169,18 +165,19 @@ class ReductionInstance:
     clauses: tuple[ClauseLayout, ...]
 
     @property
-    def forced(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for var in self.variables:
-            out.extend(var.forced)
-        for cl in self.clauses:
-            out.extend(cl.forced)
-        return tuple(sorted(out))
+    def free(self) -> tuple[int, ...]:
+        """The x, xbar, p, q and y vertices, in increasing order."""
+        return tuple([v for var in self.variables for v in (var.x, var.xbar, var.p, var.q)]
+                     + [cl.y for cl in self.clauses])
 
     @property
-    def free(self) -> tuple[int, ...]:
-        fixed = set(self.forced)
-        return tuple(v for v in range(self.graph.n) if v not in fixed)
+    def forced(self) -> tuple[int, ...]:
+        """The gadget vertices: the blocks tile 0..25N+8M-1, so every vertex
+        there that is not free.  The range comes from the layout, not from
+        the graph, which validate_gadgets may be handed tampered."""
+        free = set(self.free)
+        n = VARIABLE_BLOCK * len(self.variables) + CLAUSE_BLOCK * len(self.clauses)
+        return tuple([v for v in range(n) if v not in free])
 
     def literal_vertex(self, literal: int) -> int:
         var = self.variables[abs(literal) - 1]
@@ -218,8 +215,7 @@ def build_instance(formula: CnfFormula) -> ReductionInstance:
         edges.append((q, copies[2] + _SLOT_PQ))
         edges.append((q, copies[0] + _SLOT_X))
         edges.extend([(p, x), (p, xbar), (q, x), (q, xbar), (x, xbar)])
-        forced = tuple(c + v for c in copies for v in range(GADGET_SIZE))
-        variables.append(VariableLayout(x, xbar, p, q, forced))
+        variables.append(VariableLayout(x, xbar, p, q))
 
     clauses: list[ClauseLayout] = []
     for j, clause in enumerate(formula.clauses):
@@ -230,8 +226,7 @@ def build_instance(formula: CnfFormula) -> ReductionInstance:
         for literal in clause:
             var = variables[abs(literal) - 1]
             edges.append((y, var.x if literal > 0 else var.xbar))
-        clauses.append(ClauseLayout(y, base + _Y_ATTACH[0],
-                                    tuple(base + v for v in range(GADGET_SIZE))))
+        clauses.append(ClauseLayout(y, base + _Y_ATTACH[0]))
 
     g = Graph(VARIABLE_BLOCK * n_vars + CLAUSE_BLOCK * n_clauses, edges)
     k = 22 * n_vars + 7 * n_clauses
@@ -299,10 +294,6 @@ def validate_gadgets(inst: ReductionInstance) -> GadgetReport:
         if nbrs - designated != lit_vertices:
             defects.append(f"H_{j}: y's non-forced neighbours {sorted(nbrs - designated)}"
                            f" are not its literal vertices {sorted(lit_vertices)}")
-        # dynamic check: undominated on forced alone, dominated with any literal
-        base_dom = len(forced_nbrs)
-        if base_dom >= 3:
-            defects.append(f"H_{j}: y is 3-dominated without any literal detector")
 
     return GadgetReport(not defects, defects)
 

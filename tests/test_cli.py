@@ -208,11 +208,13 @@ def test_python_dash_m_entry_point(module):
 
 
 def test_import_does_not_load_the_process_pool():
-    # the pool modules are imported only when --jobs starts workers
+    # the pool modules are imported only when --jobs starts workers, and the
+    # test-only graph families never: source compiled at import costs every
+    # command line start-up time and memory
     env = child_env()
     code = ("import sys, errold.cli; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+            "'errold.families') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
@@ -480,6 +482,33 @@ def test_expand_rejects_vertex_ids_outside_the_graph(capsys, files, e1):
     assert "Traceback" not in out + capsys.readouterr().err
 
 
+@pytest.mark.parametrize("to_graph", [False, True])
+@pytest.mark.parametrize("to_manifest", [False, True])
+def test_reduce_writes_each_output_or_prints_its_section(capsys, files, tmp_path,
+                                                         to_graph, to_manifest):
+    from errold.reduction import build_instance, parse_dimacs_cnf
+    inst = build_instance(parse_dimacs_cnf(files["cnf"].read_text()))
+    expected = {"graph": serialize_edge_list(inst.graph), "manifest": inst.manifest()}
+    paths = {"graph": tmp_path / "out.el" if to_graph else None,
+             "manifest": tmp_path / "out.manifest" if to_manifest else None}
+    argv = ["reduce", "--cnf", files["cnf"]]
+    for name, path in paths.items():
+        if path is not None:
+            argv += [f"--out-{name}", path]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    rep = report_dict(out)
+    sections = [name for name in paths if paths[name] is None]
+    for name, path in paths.items():
+        if path is None:
+            assert f"{name}-file" not in rep
+        else:
+            assert rep[f"{name}-file"] == str(path)
+            assert path.read_text() == expected[name]
+    body = out.split("status: ok\n", 1)[1]
+    assert body == "".join(f"## {name}\n" + expected[name] for name in sections)
+
+
 def test_reduce_and_gadget_check(capsys, files, tmp_path):
     gfile = tmp_path / "out.el"
     mfile = tmp_path / "out.manifest"
@@ -544,6 +573,17 @@ def test_grid_commands(capsys, tmp_path):
     code, out = run(capsys, "grid-certify", "--pattern", bad)
     rep = report_dict(out)
     assert code == 1 and rep["pass"] == "false"
+
+
+@pytest.mark.parametrize("directive", ["grid KNG", "basis 2 0 0 2"])
+def test_pattern_with_a_repeated_line_exits_two(capsys, tmp_path, directive):
+    pat = tmp_path / "twice.pattern"
+    pat.write_text(f"grid SQR\nbasis 1 0 0 1\n{directive}\ndetector 0 0\n")
+    for cmd in ("grid-certify", "grid-share"):
+        code, out = run(capsys, cmd, "--pattern", pat)
+        rep = report_dict(out)
+        assert code == 2 and rep["status"] == "error"
+        assert rep["error"] == f"line 3: duplicate {directive.split()[0]} line"
 
 
 def test_grid_share_certifies_once(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from errold.extremal import (canonical_encoding, encoding_hex, graph_from_encodi
                              valid_expansion_pairs, pool_size, run_tasks,
                              ResourceLimit)
 from errold.families import (petersen_graph, heawood_graph, complete_graph,
-                             complete_bipartite, random_graph)
+                             complete_bipartite, random_graph, random_cubic_graph)
 
 
 # -- canonical form ----------------------------------------------------------------
@@ -455,6 +455,36 @@ def test_expand_error_cases():
     assert not hexprism.edges_are_p5_terminal((0, 1), (9, 10))
     with pytest.raises(GraphError, match="supporting"):
         quasi_cubic_expand(hexprism, (0, 1), (9, 10))
+
+
+def test_expansion_succeeds_exactly_on_the_listed_pairs():
+    # one precondition predicate decides both the expansion and the listing
+    rng = random.Random(47)
+    graphs = [heawood_graph(), petersen_graph()]
+    while len(graphs) < 5:
+        g = random_cubic_graph(rng.choice((12, 14, 16)), rng)
+        if exists_err_old(g).exists:
+            graphs.append(g)
+    for g in graphs:
+        listed = set(valid_expansion_pairs(g))
+        for e1, e2 in itertools.permutations(g.sorted_edges(), 2):
+            try:
+                quasi_cubic_expand(g, e1, e2)
+            except GraphError:
+                expanded = False
+            else:
+                expanded = True
+            assert expanded == ((e1, e2) in listed or (e2, e1) in listed)
+
+
+def test_expansion_defect_precedence():
+    # a non-edge sharing a vertex with the other edge is reported as a non-edge
+    h = heawood_graph()
+    assert not h.has_edge(0, 2) and h.has_edge(0, 1)
+    with pytest.raises(GraphError, match=r"^\(0,2\) is not an edge$"):
+        quasi_cubic_expand(h, (0, 1), (0, 2))
+    with pytest.raises(GraphError, match=r"^\(0,2\) is not an edge$"):
+        quasi_cubic_expand(h, (0, 2), (0, 1))
 
 
 def test_expansion_closure_property():

@@ -443,6 +443,11 @@ def test_pattern_parse_errors():
         parse_pattern("grid SQR\nbasis 1 0 0 1\nfoo 1 2\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_pattern("grid HEX\n")
+    # a second grid or basis line is an error, not a replacement
+    with pytest.raises(ParseError, match="^line 3: duplicate grid line$"):
+        parse_pattern("grid SQR\nbasis 1 0 0 1\ngrid KNG\nbasis 2 0 0 2\n")
+    with pytest.raises(ParseError, match="^line 4: duplicate basis line$"):
+        parse_pattern("grid SQR\nbasis 1 0 0 1\n# comment\nbasis 2 0 0 2\n")
 
 
 def test_render():
