@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, ParseError, bits_to_list, mask_of
+from .graph import Graph, ParseError, bits_to_list, int_reader, mask_of
 
 SYMMETRIC = "symmetric"
 ONE_SIDED = "one-sided"
@@ -248,9 +248,10 @@ def parse_detector_set(text: str, g: Graph) -> set[int]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        to_int = int_reader(line)
         for tok in line.split():
             try:
-                v = int(tok)
+                v = to_int(tok)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad vertex id {tok!r}") from None
             if not 0 <= v < g.n:

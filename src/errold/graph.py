@@ -218,6 +218,19 @@ def mask_of(vertices) -> int:
 # "<u> <v>".  Without a declaration, n = 1 + max vertex id (0 when empty).
 
 
+def _plain_int(token: str) -> int:
+    if token.isascii() and "_" not in token:
+        return int(token)
+    raise ValueError(token)
+
+
+def int_reader(line: str):
+    """The integer reader for the tokens of one input line: `int` on a plain
+    ASCII line without '_', and otherwise one that refuses the underscores
+    and non-ASCII digits `int` would read."""
+    return int if line.isascii() and "_" not in line else _plain_int
+
+
 def parse_edge_list(text: str) -> Graph:
     declared_n = None
     edges: list[Edge] = []
@@ -227,18 +240,19 @@ def parse_edge_list(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        to_int = int_reader(line)
         if parts[0] == "n" and not saw_edge and declared_n is None:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed vertex-count line {line!r}")
             try:
-                declared_n = int(parts[1])
+                declared_n = to_int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<u> <v>', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = to_int(parts[0]), to_int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}") from None
         if u < 0 or v < 0:

@@ -11,8 +11,8 @@ disjoint dominator sets whose symmetric difference is already >= 6.  Pair
 checks compare dominator sets as concrete plane points, so lattices with
 very short periods are handled, not excluded.
 
-The search screens each candidate detector set with precomputed
-requirement masks instead of certifying it.  Every requirement of
+The search screens each candidate detector set with requirement masks,
+built as it needs them, instead of certifying it.  Every requirement of
 certification is a multiset of residue classes: domination of u needs 3
 detectors in N(u), and distinguishing u from u + delta needs 3 in
 N(u) symmetric-difference N(u + delta), both taken as plane points (the
@@ -21,11 +21,14 @@ one bitmask per multiplicity level, mask k holding the classes that occur at
 least k times (k <= 3: three hits meet any requirement), so a candidate
 passes iff the popcounts of its detector mask against the levels sum to 3 or
 more.  The screen is therefore exact, and certification confirms only the
-pattern a lattice returns.  The search also visits one lattice per orbit of
-the grid's point group: an automorphism fixing the origin maps certified
-patterns on L to certified patterns of the same density on its image, so
-only the image that comes first in the enumeration order can hold the first
-pattern of minimum density."""
+pattern a lattice returns.  A lattice's masks are built one requirement
+shape at a time, the next only when a candidate meets all those built so
+far, and one shape serves delta and -delta: N(0) ^ N(-delta) is
+N(0) ^ N(delta) moved by -delta.  The search also visits one lattice per
+orbit of the grid's point group: an automorphism fixing the origin maps
+certified patterns on L to certified patterns of the same density on its
+image, so only the image that comes first in the enumeration order can hold
+the first pattern of minimum density."""
 
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from functools import cache, cached_property
 import itertools
 from operator import or_
 
-from .graph import Graph, ParseError
+from .graph import Graph, ParseError, int_reader
 
 SQR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 TRI_OFFSETS = SQR_OFFSETS + ((1, 1), (-1, -1))
@@ -60,10 +63,11 @@ class GridKind:
     @cached_property
     def requirement_shapes(self):
         # the offsets each certification requirement counts: N(0), then
-        # N(0) symmetric-difference N(delta) per displacement within two
+        # N(0) symmetric-difference N(delta) per +-delta pair within two
         offsets = set(self.offsets)
         return [self.offsets] + [tuple(offsets ^ {(dx + ox, dy + oy) for ox, oy in offsets})
-                                 for dx, dy in self.displacements_within_two()]
+                                 for dx, dy in self.displacements_within_two()
+                                 if (dx, dy) > (0, 0)]
 
 
 SQR = GridKind("SQR", SQR_OFFSETS)
@@ -283,18 +287,19 @@ def search_patterns(kind: GridKind, max_index: int) -> PeriodicPattern | None:
     return best
 
 
-def requirement_masks(p: PeriodicPattern) -> list[tuple[int, int, int]]:
-    """The distinct certification requirements of the lattice of `p`, each
-    as masks (m1, m2, m3) over the indices of `p.residue_classes()`, mk
-    holding the classes that occur at least k times in the requirement's
-    multiset: a detector mask D certifies iff every requirement has
-    sum((m & D).bit_count() for m in masks) >= 3.  Multiplicities are capped
-    at 3, which meets the requirement on its own."""
+def requirement_batches(p: PeriodicPattern):
+    """The distinct certification requirements of the lattice of `p`, one
+    list per requirement shape, of those no earlier shape gave; a shape is
+    built only when its list is asked for.  A requirement is masks (m1, m2, m3) over the indices of
+    `p.residue_classes()`, mk holding the classes that occur at least k
+    times in its multiset: a detector mask D certifies iff every
+    requirement has sum((m & D).bit_count() for m in masks) >= 3.
+    Multiplicities are capped at 3, which meets the requirement on its own."""
     classes = p.residue_classes()
     bit = {c: 1 << i for i, c in enumerate(classes)}
     # offsets congruent modulo the lattice meet in one class from every
     # class, so each shape's multiplicities are counted once, at the origin
-    column, requirements = {}, {}  # column[r]: the bit of c + r per class c
+    column, seen = {}, set()    # column[r]: the bit of c + r per class c
     for shape in p.kind.requirement_shapes:
         # level k of every class at once ORs the columns of residues met > k times
         levels = [[0] * len(classes)] * 3
@@ -303,14 +308,20 @@ def requirement_masks(p: PeriodicPattern) -> list[tuple[int, int, int]]:
                 column[r] = [bit[p.reduce((x + r[0], y + r[1]))] for x, y in classes]
             for k in range(min(count, 3)):
                 levels[k] = map(or_, levels[k], column[r])
-        requirements.update(dict.fromkeys(zip(*levels)))
-    return list(requirements)
+        batch = [req for req in dict.fromkeys(zip(*levels)) if req not in seen]
+        seen.update(batch)
+        yield batch
+
+
+def requirement_masks(p: PeriodicPattern) -> list[tuple[int, int, int]]:
+    """Every requirement of `requirement_batches`, in its order."""
+    return [req for batch in requirement_batches(p) for req in batch]
 
 
 def _search_basis(kind: GridKind, basis, below=None) -> PeriodicPattern | None:
     """Lowest-density certified pattern on one lattice, if below `below`,
     detectors tried in size-then-lexicographic order and screened with
-    `requirement_masks`; only the pattern returned is certified."""
+    `requirement_batches`; only the pattern returned is certified."""
     probe = PeriodicPattern(kind, basis, frozenset())
     index = probe.index
     # 3*index <= |detectors|*|offsets| as every class needs 3 detector
@@ -318,7 +329,8 @@ def _search_basis(kind: GridKind, basis, below=None) -> PeriodicPattern | None:
     sizes = range(-(-3 * index // len(kind.offsets)),
                   index + 1 if below is None else -(-index * below // 1))
     classes = probe.residue_classes()
-    requirements = sizes and requirement_masks(probe)    # none if no size is left
+    batches = requirement_batches(probe)
+    requirements = []
     for size in sizes:
         for combo in itertools.combinations(range(1, index), size - 1):
             detmask = 1
@@ -332,11 +344,20 @@ def _search_basis(kind: GridKind, basis, below=None) -> PeriodicPattern | None:
                         requirements.insert(0, requirements.pop(k))
                     break
             else:
-                pat = PeriodicPattern(kind, basis,
-                                      frozenset([classes[0]] + [classes[i] for i in combo]))
-                if not certify_pattern(pat).ok:
-                    raise RuntimeError(f"requirement masks passed an uncertified pattern on {basis}")
-                return pat
+                # every requirement built so far is met: build the next
+                # shapes until one fails the candidate, newest first
+                for batch in batches:
+                    requirements[:0] = batch
+                    if any((m1 & detmask).bit_count() + (m2 & detmask).bit_count()
+                           + (m3 & detmask).bit_count() < 3 for m1, m2, m3 in batch):
+                        break
+                else:
+                    pat = PeriodicPattern(kind, basis,
+                                          frozenset([classes[0]] + [classes[i] for i in combo]))
+                    if not certify_pattern(pat).ok:
+                        raise RuntimeError(
+                            f"requirement masks passed an uncertified pattern on {basis}")
+                    return pat
     return None
 
 
@@ -380,6 +401,7 @@ def parse_pattern(text: str) -> PeriodicPattern:
         if not line:
             continue
         parts = line.split()
+        to_int = int_reader(line)
         if parts[0] == "grid":
             if kind is not None:
                 raise ParseError(f"line {lineno}: duplicate grid line")
@@ -392,7 +414,7 @@ def parse_pattern(text: str) -> PeriodicPattern:
             if len(parts) != 5:
                 raise ParseError(f"line {lineno}: basis needs 4 integers")
             try:
-                a1, a2, b1, b2 = (int(t) for t in parts[1:])
+                a1, a2, b1, b2 = map(to_int, parts[1:])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad basis integers") from None
             basis = ((a1, a2), (b1, b2))
@@ -400,7 +422,7 @@ def parse_pattern(text: str) -> PeriodicPattern:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: detector needs 2 integers")
             try:
-                detectors.append((int(parts[1]), int(parts[2])))
+                detectors.append((to_int(parts[1]), to_int(parts[2])))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad detector integers") from None
         else:

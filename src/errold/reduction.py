@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, ParseError, ResourceLimit
+from .graph import Graph, ParseError, ResourceLimit, int_reader
 from .detection import ERR_OLD, verify, forced_detectors
 from .solver import detector_set_within
 
@@ -101,6 +101,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        to_int = int_reader(line)
         if line.startswith("p"):
             if num_vars is not None:
                 raise ParseError(f"line {lineno}: duplicate problem line")
@@ -108,7 +109,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"line {lineno}: malformed problem line {line!r}")
             try:
-                num_vars, declared_clauses = int(parts[2]), int(parts[3])
+                num_vars, declared_clauses = to_int(parts[2]), to_int(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad counts in problem line") from None
             continue
@@ -116,7 +117,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             raise ParseError(f"line {lineno}: clause before problem line")
         for tok in line.split():
             try:
-                tokens.append(int(tok))
+                tokens.append(to_int(tok))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad literal {tok!r}") from None
     if num_vars is None:

@@ -586,6 +586,20 @@ def test_pattern_with_a_repeated_line_exits_two(capsys, tmp_path, directive):
         assert rep["error"] == f"line 3: duplicate {directive.split()[0]} line"
 
 
+@pytest.mark.parametrize("cmd,flag,text,error", [
+    ("exists", "--graph", "n 1_2\n0 1\n", "line 1: bad vertex count '1_2'"),
+    ("exists", "--graph", "n 3\n0 \u0662\n", "line 2: non-integer endpoint in '0 \u0662'"),
+    ("grid-certify", "--pattern", "grid SQR\nbasis 1_0 0 0 1\ndetector 0 0\n",
+     "line 2: bad basis integers"),
+], ids=["underscore-count", "arabic-indic-endpoint", "underscore-basis"])
+def test_integers_int_alone_would_read_exit_two(capsys, tmp_path, cmd, flag, text, error):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out = run(capsys, cmd, flag, path)
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error" and rep["error"] == error
+
+
 def test_grid_share_certifies_once(capsys, monkeypatch):
     from errold import grids
     calls = []

@@ -438,6 +438,15 @@ def test_detector_set_parse():
     assert serialize_detector_set({2, 0}) == "0 2\n"
 
 
+def test_detector_set_parse_rejects_integers_int_alone_would_read():
+    g = complete_graph(4)
+    with pytest.raises(ParseError, match=r"^line 2: bad vertex id '\uff12'$"):
+        parse_detector_set("0 1\n3 \uff12\n", g)
+    with pytest.raises(ParseError, match=r"^line 1: bad vertex id '1_0'$"):
+        parse_detector_set("0 1_0\n", g)
+    assert parse_detector_set("0 3 # \u0662\n", g) == {0, 3}
+
+
 def test_kind_flags():
     assert kind_from_flag("err") is ERR_OLD
     assert kind_from_flag("redold") is RED_OLD

@@ -46,6 +46,19 @@ def test_parse_malformed_line_reports_number():
         parse_edge_list("a b")
 
 
+def test_parse_rejects_integers_int_alone_would_read():
+    """Underscores and non-ASCII digits are not file integers, in the
+    vertex count or in an endpoint."""
+    with pytest.raises(ParseError, match=r"^line 1: bad vertex count '1_2'$"):
+        parse_edge_list("n 1_2\n")
+    with pytest.raises(ParseError, match=r"^line 2: non-integer endpoint in '0 \u0662'$"):
+        parse_edge_list("n 3\n0 \u0662\n")
+    with pytest.raises(ParseError, match=r"^line 1: non-integer endpoint in '1_0 2'$"):
+        parse_edge_list("1_0 2\n")
+    # non-ASCII text in a comment stays allowed
+    assert parse_edge_list("# \u00e9t\u00e9\nn 3\n0 1\n").n == 3
+
+
 def test_parse_serialize_roundtrip():
     rng = random.Random(0)
     for _ in range(50):

@@ -11,6 +11,7 @@ from errold.grids import (SQR, TRI, KNG, PeriodicPattern, PatternError, GridCert
                           pattern_density, certify_pattern, detector_shares,
                           hermite_bases, hermite_form, point_group,
                           requirement_masks, search_patterns, _search_basis,
+                          GRID_KINDS,
                           torus_graph, parse_pattern, serialize_pattern,
                           render_pattern)
 
@@ -212,6 +213,40 @@ def test_requirement_masks_match_certify():
     assert certified > 100 and checked - certified > 100
 
 
+def test_requirement_shapes_one_per_pair():
+    """N(0) and one shape per +-delta pair: no shape is a translate of
+    another, since the shape of -delta is that of delta moved by -delta."""
+    for kind, count in ((SQR, 7), (TRI, 10), (KNG, 13)):
+        shapes = kind.requirement_shapes
+        assert len(shapes) == count == 1 + len(kind.displacements_within_two()) // 2
+        anchored = {frozenset((x - min(s)[0], y - min(s)[1]) for x, y in s) for s in shapes}
+        assert len(anchored) == count
+
+
+def test_search_builds_shapes_on_demand(monkeypatch):
+    """Per lattice that builds any shape: the shapes it has and those it
+    builds, counted by the yields of `requirement_batches`."""
+    from errold import grids
+    built, total = [], []
+    batches = grids.requirement_batches
+
+    def counting(p):
+        for k, batch in enumerate(batches(p)):
+            if not k:
+                built.append(0)
+                total.append(len(p.kind.requirement_shapes))
+            built[-1] += 1
+            yield batch
+    monkeypatch.setattr(grids, "requirement_batches", counting)
+    for kind, max_index in ((SQR, 8), (TRI, 7), (KNG, 13)):
+        search_patterns(kind, max_index)
+    assert 3 * sum(built) < sum(total)
+    # no candidate of size 3 meets domination on the 2x2 square lattice
+    built.clear()
+    assert _search_basis(SQR, ((2, 0), (0, 2)), Fraction(1)) is None
+    assert built == [1]
+
+
 def reference_certify(p):
     """certify_pattern with every dominator set recomputed where it is
     used: the reference for its per-call memo."""
@@ -402,6 +437,19 @@ def test_search_king_at_eighteen():
         "detector 3 1\ndetector 4 0\ndetector 4 2\ndetector 5 1\n")
 
 
+@pytest.mark.parametrize("grid,max_index,pattern", [
+    ("SQR", 8, "basis 4 0 1 2\ndetector 0 0\ndetector 1 0\ndetector 1 1\n"
+               "detector 2 0\ndetector 2 1\ndetector 3 0\ndetector 3 1\n"),
+    ("TRI", 7, "basis 7 0 3 1\ndetector 0 0\ndetector 1 0\ndetector 2 0\ndetector 4 0\n"),
+    ("KNG", 13, "basis 11 0 1 1\ndetector 0 0\ndetector 1 0\ndetector 4 0\n"
+                "detector 6 0\ndetector 8 0\n"),
+])
+def test_search_tie_order_of_benchmark_searches(grid, max_index, pattern):
+    """The lattice and detector set the tie order picks, as recorded."""
+    best = search_patterns(GRID_KINDS[grid], max_index)
+    assert serialize_pattern(best) == f"grid {grid}\n{pattern}"
+
+
 def test_search_square_small():
     best = search_patterns(SQR, 1)
     assert pattern_density(best) == 1
@@ -448,6 +496,12 @@ def test_pattern_parse_errors():
         parse_pattern("grid SQR\nbasis 1 0 0 1\ngrid KNG\nbasis 2 0 0 2\n")
     with pytest.raises(ParseError, match="^line 4: duplicate basis line$"):
         parse_pattern("grid SQR\nbasis 1 0 0 1\n# comment\nbasis 2 0 0 2\n")
+    # underscores and non-ASCII digits are not file integers
+    with pytest.raises(ParseError, match="^line 2: bad basis integers$"):
+        parse_pattern("grid SQR\nbasis 1_0 0 0 1\n")
+    with pytest.raises(ParseError, match="^line 3: bad detector integers$"):
+        parse_pattern("grid SQR\nbasis 2 0 0 1\ndetector \u0661 0\n")
+    assert parse_pattern("grid SQR # \u00e9\nbasis 2 0 0 1\ndetector 1 0\n").index == 2
 
 
 def test_render():

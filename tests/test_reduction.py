@@ -71,6 +71,16 @@ def test_parse_dimacs_errors():
         CnfFormula(2, ((1, 2, 3),))
 
 
+def test_parse_dimacs_rejects_integers_int_alone_would_read():
+    with pytest.raises(ParseError, match="^line 1: bad counts in problem line$"):
+        parse_dimacs_cnf("p cnf 3 1_0\n")
+    with pytest.raises(ParseError, match=r"^line 2: bad literal '-\u0662'$"):
+        parse_dimacs_cnf("p cnf 3 1\n1 -\u0662 3 0\n")
+    with pytest.raises(ParseError, match="^line 2: bad literal '2_0'$"):
+        parse_dimacs_cnf("p cnf 3 1\n1 2_0 3 0\n")
+    assert parse_dimacs_cnf("c \u00e9\np cnf 3 1\n1 -2 3 0\n").clauses == ((1, -2, 3),)
+
+
 def test_dimacs_roundtrip():
     text = serialize_dimacs_cnf(FIG6)
     assert parse_dimacs_cnf(text) == FIG6
