@@ -15,7 +15,7 @@ import hashlib
 import os
 import sys
 
-from .graph import ResourceLimit, parse_edge_list, serialize_edge_list
+from .graph import ResourceLimit, int_reader, parse_edge_list, serialize_edge_list
 from .detection import (KIND_FLAGS, kind_from_flag, verify, exists_err_old,
                         parse_detector_set)
 from .solver import (minimum_detector_set, detector_set_within,
@@ -131,7 +131,7 @@ def cmd_enumerate(args) -> int:
     report = Report("enumerate")
     predicate = exists_err_old if args.predicate == "err" else None
     found = enumerate_graphs(args.n, args.m, predicate=predicate,
-                             min_degree=args.min_degree, jobs=args.jobs)
+                             min_degree=args.min_degree)
     report.add("n", args.n)
     if args.m is not None:
         report.add("m", args.m)
@@ -260,10 +260,13 @@ def cmd_render(args) -> int:
     return report.finish(True)
 
 
-def _positive_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _integer(text: str) -> int:
+    # read as the file parsers read numbers: no '_' and only ASCII digits;
+    # the range checks are the library's
+    try:
+        return int_reader(text)(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 @functools.cache
@@ -296,29 +299,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="minimum detector set")
     graph_flag(p)
     kind_flag(p)
-    p.add_argument("--budget", type=int, default=None, help="node limit")
+    p.add_argument("--budget", type=_integer, default=None, help="node limit")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("decide", help="is there a detector set of size <= k")
     graph_flag(p)
     kind_flag(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("enumerate", help="non-isomorphic graphs, optionally filtered")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, default=None)
     p.add_argument("--predicate", choices=["err", "all"], default="err")
-    p.add_argument("--min-degree", type=int, default=0)
+    p.add_argument("--min-degree", type=_integer, default=0)
     p.add_argument("--out", default=None, help="directory for edge-list files + manifest")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, capped at the CPU count (default 1)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("expand", help="quasi-cubic expansion of a cubic graph")
     graph_flag(p)
-    p.add_argument("--e1", type=int, nargs=2, required=True, metavar=("U", "V"))
-    p.add_argument("--e2", type=int, nargs=2, required=True, metavar=("U", "V"))
+    p.add_argument("--e1", type=_integer, nargs=2, required=True, metavar=("U", "V"))
+    p.add_argument("--e2", type=_integer, nargs=2, required=True, metavar=("U", "V"))
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("reduce", help="compile 3-SAT into a decision instance")
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="minimum-density certified pattern")
     p.add_argument("--grid", required=True, choices=grids.GRID_KINDS)
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=_integer, required=True)
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("grid-share", help="share diagnostics of a certified pattern")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="character-grid rendering of a pattern")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_integer, required=True)
     p.set_defaults(func=cmd_render)
 
     return parser
@@ -378,7 +379,7 @@ def _run(args) -> int:
     except (OSError, ValueError, ResourceLimit, MemoryError, RecursionError,
             SearchBudgetExceeded, KeyboardInterrupt) as exc:
         # the search raises SearchInterrupted; a bare KeyboardInterrupt is
-        # Ctrl-C outside it, e.g. while enumeration workers run
+        # Ctrl-C outside it, e.g. during an enumeration
         report = Report(args.cmd)
         report.add("error", "interrupted" if isinstance(exc, KeyboardInterrupt)
                    else exc)

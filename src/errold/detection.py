@@ -10,8 +10,7 @@ difference of their dominator sets or by a one-sided difference:
     DET:OLD  d=2, t=2, one-sided
     ERR:OLD  d=3, t=3, symmetric
 
-All checks are pure functions of an immutable Graph and a vertex set and are
-safe to run from concurrent workers.
+All checks are pure functions of an immutable Graph and a vertex set.
 """
 
 from __future__ import annotations

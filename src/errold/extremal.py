@@ -12,13 +12,12 @@ Enumeration is orderly generation (R. C. Read, "Every one a winner", 1978;
 B. D. McKay, "Isomorph-free exhaustive generation", 1998): each class comes
 out once, as its canonical representative, with no deduplication.  Each
 candidate child is kept iff the bounded search finds nothing below its own
-code.  `labeled_graphs`, the edge-slot enumeration of labeled graphs, is
-kept as the test oracle."""
+code.  The tree is walked depth-first in the calling process.
+`labeled_graphs`, the edge-slot enumeration of labeled graphs, is kept as
+the test oracle."""
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, ResourceLimit, bits_to_list, mask_of
@@ -206,55 +205,17 @@ def labeled_graphs(n: int, m: int, min_degree: int = 0):
     yield from rec(0, 0)
 
 
-def pool_size(jobs: int, task_count: int) -> int:
-    """Worker processes started for `task_count` tasks under `jobs`."""
-    return max(1, min(jobs, task_count, os.cpu_count() or 1))
-
-
-def run_tasks(fn, tasks, jobs: int) -> list:
-    """[fn(task) for task in tasks], in this process when jobs == 1 or there
-    is at most one task, and in `spawn` worker processes otherwise, where fn
-    and the list tasks must pickle.  The pool modules are imported only when
-    a pool starts, so importing the toolkit stays cheap.  An exception
-    raised by fn reaches the caller unchanged; a dead worker is a
-    ResourceLimit; an interrupt stops the workers and reaches the caller."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    import concurrent.futures
-    import multiprocessing
-    pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=pool_size(jobs, len(tasks)),
-        mp_context=multiprocessing.get_context("spawn"))
-    try:
-        return list(pool.map(fn, tasks))
-    except concurrent.futures.BrokenExecutor as exc:
-        raise ResourceLimit(f"a worker process died: {exc}") from None
-    except KeyboardInterrupt:
-        # a worker would run its queued tasks to the end before shutdown
-        # returned; the executor has no public way to stop them
-        for process in list(pool._processes.values()):
-            process.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def enumerate_graphs(n: int, edge_count: int | None = None,
-                     predicate=None, min_degree: int = 0,
-                     jobs: int = 1) -> list[CanonicalGraph]:
+                     predicate=None, min_degree: int = 0) -> list[CanonicalGraph]:
     """All pairwise non-isomorphic graphs on n vertices (optionally with a
     fixed edge count) with minimum degree >= min_degree that satisfy the
-    predicate, each as its canonical representative.
+    predicate, each as its canonical representative, sorted by canonical
+    encoding.
 
     Every canonical graph on k + 1 vertices extends a canonical graph on k
     vertices by the adjacency column of vertex k (see _children), so each
     class comes out exactly once.  The predicate runs once per class, on
-    the canonical representative, and must be isomorphism-invariant.  The
-    tree grows whole levels until one holds 4 graphs per worker (one graph
-    when jobs == 1), whose subtrees run_tasks completes depth-first.
-    Results are sorted by canonical encoding."""
+    the canonical representative, and must be isomorphism-invariant."""
     if n > MAX_CANONICAL_N:
         raise ResourceLimit(f"enumeration supported for n <= {MAX_CANONICAL_N}, got {n}")
     if min(n, edge_count or 0, min_degree) < 0:
@@ -265,15 +226,7 @@ def enumerate_graphs(n: int, edge_count: int | None = None,
     # degree 0; for n > 0, _children applies both bounds
     if n == 0 and (bounds[0] > 0 or min_degree > 0):
         return []
-
-    level = [CanonicalGraph(Graph(0), ())]
-    target = 4 * pool_size(jobs, jobs) if jobs > 1 else 1
-    while level and len(level) < target and level[0].graph.n < n:
-        level = [child for parent in level
-                 for child in _children(parent, n, bounds, min_degree)]
-    complete = functools.partial(_complete, n=n, bounds=bounds,
-                                 min_degree=min_degree, predicate=predicate)
-    found = [cg for chunk in run_tasks(complete, level, jobs) for cg in chunk]
+    found = _complete(CanonicalGraph(Graph(0), ()), n, bounds, min_degree, predicate)
     return sorted(found, key=lambda cg: cg.encoding)
 
 

@@ -6,7 +6,7 @@ Vertices are dense integers 0..n-1.  A graph stores only its adjacency rows
 (bit v of adj[u] is set iff uv is an edge), built on construction; the
 edge set, the edge count, equality, hashing and the pairs at distance <= 2
 are all read from the rows.  Graphs are immutable after construction, so a
-single graph can be shared freely between workers.
+single graph can be shared freely.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class ParseError(ValueError):
 
 
 class ResourceLimit(Exception):
-    """Request exceeds a supported size, or a worker process died."""
+    """Request exceeds a supported size."""
 
 
 Edge = tuple[int, int]

@@ -112,6 +112,8 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
                 num_vars, declared_clauses = to_int(parts[2]), to_int(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad counts in problem line") from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise ParseError(f"line {lineno}: negative count in problem line {line!r}")
             continue
         if num_vars is None:
             raise ParseError(f"line {lineno}: clause before problem line")

@@ -208,9 +208,9 @@ def test_python_dash_m_entry_point(module):
 
 
 def test_import_does_not_load_the_process_pool():
-    # the pool modules are imported only when --jobs starts workers, and the
-    # test-only graph families never: source compiled at import costs every
-    # command line start-up time and memory
+    # errold starts no worker processes, so the pool modules are never
+    # imported, and the test-only graph families are not either: source
+    # compiled at import costs every command line start-up time and memory
     env = child_env()
     code = ("import sys, errold.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
@@ -311,29 +311,26 @@ def test_unwritable_redirected_stdout_exits_two(capsys, files, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["solve", "--graph", "g.el", "--kind", "err"],
     ["decide", "--graph", "g.el", "--kind", "err", "--k", "3"],
-    ["enumerate", "--n", "4"],
     ["roundtrip", "--cnf", "f.cnf"],
     ["grid-search", "--grid", "SQR", "--max-index", "2"],
 ])
 def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
-    # enumerate rejects the count; the serial commands take no --jobs at all
+    # no command takes --jobs at all
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", jobs])
     assert exc.value.code == 2
-    if argv[0] == "enumerate":
-        assert "positive integer" in capsys.readouterr().err
-    else:
-        assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
+    assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--graph", "g.el", "--kind", "err"],
     ["decide", "--graph", "g.el", "--kind", "err", "--k", "3"],
+    ["enumerate", "--n", "4"],
     ["roundtrip", "--cnf", "f.cnf"],
     ["grid-search", "--grid", "SQR", "--max-index", "2"],
 ], ids=lambda argv: argv[0])
 def test_serial_commands_take_no_jobs(capsys, argv):
-    # one serial search: --jobs is an unrecognised argument there
+    # every command is one serial search: --jobs is an unrecognised argument
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", "2"])
     assert exc.value.code == 2
@@ -355,15 +352,20 @@ def test_negative_size_exits_two(capsys, files, argv):
     assert "Traceback" not in out + capsys.readouterr().err
 
 
-def test_dead_worker_exits_two(capsys, monkeypatch):
-    import errold.extremal
-    run_tasks = errold.extremal.run_tasks
-    monkeypatch.setattr(errold.extremal, "run_tasks",
-                        lambda fn, tasks, jobs: run_tasks(os._exit, [3] * len(tasks), jobs))
-    code, out = run(capsys, "enumerate", "--n", "6", "--m", "9", "--min-degree", "3",
-                    "--jobs", "2")
-    rep = report_dict(out)
-    assert code == 2 and rep["status"] == "error" and "worker" in rep["error"]
+@pytest.mark.parametrize("value", ["\u0663", "1_0"])
+@pytest.mark.parametrize("argv", [
+    ["grid-search", "--grid", "SQR", "--max-index"],
+    ["enumerate", "--n", "4", "--m"],
+    ["solve", "--graph", "g.el", "--kind", "err", "--budget"],
+    ["render", "--pattern", "p.pattern", "--window"],
+], ids=lambda argv: argv[-1])
+def test_integer_flags_read_ascii_digits_only(capsys, argv, value):
+    # int() alone would run Arabic-Indic 3 as 3 and 1_0 as 10; the flags
+    # read integers as the file parsers do
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    assert f"expected an integer, got {value!r}" in capsys.readouterr().err
 
 
 def test_solve_and_decide(capsys, files):
@@ -434,13 +436,6 @@ def test_enumerate(capsys):
     code, out = run(capsys, "enumerate", "--n", "4")
     rep = report_dict(out)
     assert code == 0 and rep["count"] == "0"
-
-
-def test_enumerate_parallel_predicate(capsys):
-    code, out = run(capsys, "enumerate", "--n", "6", "--m", "9",
-                    "--min-degree", "3", "--predicate", "err", "--jobs", "2")
-    rep = report_dict(out)
-    assert code == 0 and rep["count"] == "0"     # no 6-vertex graph supports
 
 
 def test_enumerate_outdir(capsys, tmp_path):
@@ -543,6 +538,15 @@ def test_oversized_roundtrip_is_refused_before_sat(capsys, tmp_path, monkeypatch
     code, out = run(capsys, "roundtrip", "--cnf", cnf)
     rep = report_dict(out)
     assert code == 2 and rep["status"] == "error" and "25 variables" in rep["error"]
+
+
+def test_negative_problem_line_count_is_a_parse_error(capsys, tmp_path):
+    cnf = tmp_path / "neg.cnf"
+    cnf.write_text("p cnf -3 0\n")
+    code, out = run(capsys, "roundtrip", "--cnf", cnf)
+    rep = report_dict(out)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["error"] == "line 1: negative count in problem line 'p cnf -3 0'"
 
 
 def test_roundtrip_beyond_twenty_free_vertices(capsys, tmp_path):

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 
 import pytest
@@ -9,8 +8,7 @@ from errold.detection import exists_err_old, verify, ERR_OLD
 from errold.extremal import (canonical_encoding, encoding_hex, graph_from_encoding,
                              CanonicalGraph, labeled_graphs, enumerate_graphs,
                              smallest_supporting_edge_count, quasi_cubic_expand,
-                             valid_expansion_pairs, pool_size, run_tasks,
-                             ResourceLimit)
+                             valid_expansion_pairs, ResourceLimit)
 from errold.families import (petersen_graph, heawood_graph, complete_graph,
                              complete_bipartite, random_graph, random_cubic_graph)
 
@@ -228,118 +226,6 @@ def test_one_canonicity_test_per_candidate_child(monkeypatch):
     assert None not in bounds
 
 
-def test_parallel_generation_matches_serial():
-    for args, kwargs in (((7, 12), {"predicate": exists_err_old, "min_degree": 3}),
-                         ((8, 12), {"min_degree": 3})):
-        serial = enumerate_graphs(*args, **kwargs)
-        parallel = enumerate_graphs(*args, **kwargs, jobs=2)
-        assert serial and parallel == serial
-
-
-@pytest.mark.parametrize("frontier", [4, 32, 256])
-def test_split_at_any_frontier_size_reproduces_the_serial_classes(monkeypatch, frontier):
-    # the --jobs split run in this process, on the frontier that
-    # frontier / 4 workers would get
-    import errold.extremal
-    cases = [((7, None), {"min_degree": 2, "predicate": lambda g: g.m % 2 == 0}),
-             ((8, 13), {"min_degree": 3, "predicate": exists_err_old})]
-    serial = [enumerate_graphs(*args, **kwargs) for args, kwargs in cases]
-    sizes = []
-
-    def in_process(fn, tasks, jobs):
-        sizes.append(len(tasks))
-        return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(os, "cpu_count", lambda: frontier // 4)
-    monkeypatch.setattr(errold.extremal, "run_tasks", in_process)
-    split = [enumerate_graphs(*args, **kwargs, jobs=64) for args, kwargs in cases]
-    assert split == serial and serial[0]
-    assert max(sizes) >= frontier
-
-
-def test_split_sizes_the_frontier_by_the_workers_started(monkeypatch):
-    # 64 jobs on 2 CPUs start 2 workers, so the parent stops at the first
-    # level of at least 8 graphs instead of building every complete graph
-    import errold.extremal
-    handed = []
-
-    def record(fn, tasks, jobs):
-        handed.extend(tasks)
-        return [[] for _ in tasks]
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(errold.extremal, "run_tasks", record)
-    enumerate_graphs(8, 14, min_degree=3, jobs=64)
-    assert [cg.graph.n for cg in handed] == [4] * 11
-
-
-def test_level_walk_stops_at_n_vertices_or_an_empty_level(monkeypatch):
-    # 64 jobs on 64 CPUs ask for 256 graphs, more than either tree holds
-    import errold.extremal
-    handed = []
-
-    def record(fn, tasks, jobs):
-        handed.append([cg.graph.n for cg in tasks])
-        return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(errold.extremal, "run_tasks", record)
-    assert enumerate_graphs(5, jobs=64) == enumerate_graphs(5)
-    assert handed[0] == [5] * 34
-    handed.clear()
-    # no graph on 4 vertices has 7 edges, so some level runs out of graphs
-    assert enumerate_graphs(4, 7, jobs=64) == []
-    assert handed == [[]]
-
-
-# -- the --jobs fan-out ----------------------------------------------------------
-
-
-def test_results_come_back_in_task_order():
-    assert run_tasks(abs, [-3, 1, -2, 0], 2) == [3, 1, 2, 0]
-
-
-def test_one_job_runs_in_this_process():
-    # a lambda cannot be pickled, so only an in-process run can call it
-    assert run_tasks(lambda x: x + 1, [1, 2], 1) == [2, 3]
-
-
-def test_one_task_runs_in_this_process():
-    # the tree on one vertex has a single graph, a frontier of one task,
-    # which starts no pool even under jobs=2: only an in-process run can
-    # call the lambda predicate
-    assert len(enumerate_graphs(1, predicate=lambda g: True, jobs=2)) == 1
-    assert run_tasks(lambda x: x + 1, [1], 2) == [2]
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_jobs_below_one_is_rejected(jobs):
-    with pytest.raises(ValueError):
-        run_tasks(abs, [1], jobs)
-
-
-def test_worker_error_reaches_the_caller_unchanged():
-    with pytest.raises(ValueError, match="invalid literal"):
-        run_tasks(int, ["1", "x"], 2)
-
-
-def test_dead_worker_is_a_resource_limit():
-    with pytest.raises(ResourceLimit):
-        run_tasks(os._exit, [3, 3], 2)
-
-
-def test_pool_never_exceeds_tasks_or_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert pool_size(1000, 3) == 2
-    assert pool_size(1000, 1) == 1
-    assert pool_size(2, 100) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert pool_size(1000, 3) == 3
-    assert pool_size(4, 100) == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pool_size(1000, 100) == 1
-
-
 def test_enumerate_cubic_classes():
     assert len(enumerate_graphs(4, 6, min_degree=3)) == 1          # K4
     assert len(enumerate_graphs(6, 9, min_degree=3)) == 2          # K33, prism
@@ -348,12 +234,6 @@ def test_enumerate_cubic_classes():
 
 def test_enumerate_no_small_err_graphs():
     assert enumerate_graphs(4, predicate=lambda g: exists_err_old(g).exists) == []
-
-
-def test_enumerate_parallel_matches_serial():
-    serial = enumerate_graphs(6, 9, min_degree=3)
-    parallel = enumerate_graphs(6, 9, min_degree=3, jobs=2)
-    assert [c.encoding for c in serial] == [c.encoding for c in parallel]
 
 
 def test_figure_two_reproduction():

@@ -67,6 +67,11 @@ def test_parse_dimacs_errors():
         parse_dimacs_cnf("1 2 3 0\n")
     with pytest.raises(ParseError, match="unterminated"):
         parse_dimacs_cnf("p cnf 3 1\n1 2 3\n")
+    # the problem line is at fault, not the graph or clause list built from it
+    with pytest.raises(ParseError, match="^line 2: negative count in problem line 'p cnf -3 0'$"):
+        parse_dimacs_cnf("c header below\np cnf -3 0\n")
+    with pytest.raises(ParseError, match="^line 1: negative count in problem line 'p cnf 3 -1'$"):
+        parse_dimacs_cnf("p cnf 3 -1\n")
     with pytest.raises(ValueError, match="outside"):
         CnfFormula(2, ((1, 2, 3),))
 
